@@ -9,15 +9,20 @@ pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import matching, routing
 from .errors import DomainError, ParseError
+from .geo import Route
 from .matching import DEFAULT_THRESHOLD_M
 from .pools import RoutePool
 from .routing import GridGraph
@@ -69,12 +74,34 @@ class EvalReport:
     pairs: list[PairOutcome] = field(default_factory=list, compare=False, repr=False)
 
 
-def _ordered_pairs(pool: RoutePool):
-    routes = sorted(pool.routes, key=lambda r: r.id)
-    for a in routes:
-        for r in routes:
-            if a.id != r.id:
-                yield a, r
+def _scorer(routes: list[Route]):
+    """sm of vehicle ``routes[i]`` and request ``routes[j]``, each pair scored at most once."""
+    return functools.cache(lambda i, j: matching.score_pair(routes[i], routes[j]))
+
+
+def _max_compatible_sm(fractions: np.ndarray, members: np.ndarray, score, default_m: float) -> float:
+    """Largest finite sm over the oracle-compatible ordered pairs among ``members``."""
+    mask = (fractions <= routing.DETOUR_LIMIT_FRACTION) & members[:, None] & members[None, :]
+    np.fill_diagonal(mask, False)
+    scores = (score(i, j) for i, j in np.argwhere(mask).tolist())
+    return max((sm for sm in scores if math.isfinite(sm)), default=default_m)
+
+
+def _judge(routes, fractions: np.ndarray, members: np.ndarray, threshold_m: float, score):
+    """PairOutcome of every ordered pair among ``members`` (a != r), in (a_id, r_id) order."""
+    idx = np.flatnonzero(members).tolist()
+    labels = fractions.tolist()
+    outcomes = []
+    for i in idx:
+        for j in idx:
+            if i != j:
+                sm, fraction = score(i, j), labels[i][j]
+                accepted = math.isfinite(sm) and sm <= threshold_m
+                compatible = fraction <= routing.DETOUR_LIMIT_FRACTION
+                outcomes.append(
+                    PairOutcome(routes[i].id, routes[j].id, sm, fraction, accepted, compatible)
+                )
+    return outcomes
 
 
 def calibrate_threshold(
@@ -88,14 +115,11 @@ def calibrate_threshold(
     """
     if len(pool.routes) < 2:
         raise DomainError("calibration needs a pool with at least 2 routes")
-    best: float | None = None
-    for a, r in _ordered_pairs(pool):
-        if not routing.assess_shared_ride(g, a, r).compatible:
-            continue
-        sm = matching.score_pair(a, r)
-        if math.isfinite(sm) and (best is None or sm > best):
-            best = sm
-    return default_m if best is None else best
+    if not default_m >= 0.0:
+        raise DomainError(f"default_m must be non-negative, got {default_m}")
+    routes = sorted(pool.routes, key=lambda r: r.id)
+    fractions = routing.detour_fractions(g, routes)
+    return _max_compatible_sm(fractions, np.ones(len(routes), bool), _scorer(routes), default_m)
 
 
 def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
@@ -104,40 +128,28 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     A zero threshold is legal (it accepts only exact-zero scores); a
     duplicate-heavy pool calibrates to exactly that.
     """
-    if threshold_m < 0.0:
+    if not threshold_m >= 0.0:
         raise DomainError(f"threshold_m must be non-negative, got {threshold_m}")
-    pairs = list(_ordered_pairs(pool))
+    routes = sorted(pool.routes, key=lambda r: r.id)
 
     t0 = time.perf_counter()
-    sms = [matching.score_pair(a, r) for a, r in pairs]
+    fractions = routing.detour_fractions(g, routes)
     t1 = time.perf_counter()
-    verdicts = [routing.assess_shared_ride(g, a, r) for a, r in pairs]
+    outcomes = _judge(routes, fractions, np.ones(len(routes), bool), threshold_m, _scorer(routes))
     t2 = time.perf_counter()
 
-    outcomes = [
-        PairOutcome(
-            a_id=a.id,
-            r_id=r.id,
-            sm=sm,
-            detour_fraction=verdict.detour_fraction,
-            accepted=math.isfinite(sm) and sm <= threshold_m,
-            compatible=verdict.compatible,
-        )
-        for (a, r), sm, verdict in zip(pairs, sms, verdicts)
-    ]
     runtime_ms = {
-        "scoring_ms": (t1 - t0) * 1e3,
-        "labeling_ms": (t2 - t1) * 1e3,
+        "scoring_ms": (t2 - t1) * 1e3,
+        "labeling_ms": (t1 - t0) * 1e3,
         "total_ms": (t2 - t0) * 1e3,
     }
     return _aggregate(outcomes, threshold_m, runtime_ms)
 
 
 def _aggregate(outcomes: list[PairOutcome], threshold_m: float, runtime_ms: dict) -> EvalReport:
-    tp = sum(1 for o in outcomes if o.accepted and o.compatible)
-    fp = sum(1 for o in outcomes if o.accepted and not o.compatible)
-    tn = sum(1 for o in outcomes if not o.accepted and not o.compatible)
-    fn = sum(1 for o in outcomes if not o.accepted and o.compatible)
+    counts = Counter((o.accepted, o.compatible) for o in outcomes)
+    tp, fp = counts[True, True], counts[True, False]
+    tn, fn = counts[False, False], counts[False, True]
     n = len(outcomes)
     return EvalReport(
         n_pairs=n,
@@ -166,27 +178,27 @@ def cross_validated_eval(
     ordered pairs are judged with the threshold calibrated on the remaining
     routes. Counts aggregate across folds; the reported threshold_m is the
     maximum fold threshold (the conservative choice a deployment would ship).
+    The pool is labeled once, and every pair is scored at most once.
     """
     routes = sorted(pool.routes, key=lambda r: r.id)
     if folds < 2 or folds > len(routes) // 2:
         raise DomainError(f"folds must be in [2, n_routes/2], got {folds}")
+    if not default_m >= 0.0:
+        raise DomainError(f"default_m must be non-negative, got {default_m}")
     order = list(range(len(routes)))
     random.Random(seed).shuffle(order)
-    fold_of = {routes[idx].id: i % folds for i, idx in enumerate(order)}
+    fold_of = np.empty(len(routes), dtype=int)
+    fold_of[order] = np.arange(len(routes)) % folds
 
+    fractions = routing.detour_fractions(g, routes)
+    score = _scorer(routes)
     outcomes: list[PairOutcome] = []
     thresholds: list[float] = []
+    # folds <= n_routes/2 deals every fold at least 2 routes
     for f in range(folds):
-        train = [r for r in routes if fold_of[r.id] != f]
-        held = [r for r in routes if fold_of[r.id] == f]
-        if len(held) < 2:
-            continue
-        thr = calibrate_threshold(RoutePool(routes=train), g, default_m)
-        thresholds.append(thr)
-        fold_report = run_eval(RoutePool(routes=held), g, thr)
-        outcomes.extend(fold_report.pairs)
-    if not thresholds:
-        raise DomainError("cross-validation produced no usable folds")
+        held = fold_of == f
+        thresholds.append(_max_compatible_sm(fractions, ~held, score, default_m))
+        outcomes.extend(_judge(routes, fractions, held, thresholds[-1], score))
     return _aggregate(outcomes, max(thresholds), runtime_ms={})
 
 

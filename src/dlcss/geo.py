@@ -26,6 +26,9 @@ EARTH_RADIUS_M = 6_371_000.0
 
 _EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 
+#: Decimal places of the degrees written to files (1e-7 deg, about 1 cm).
+COORD_DECIMALS = 7
+
 
 @dataclass(frozen=True)
 class Coordinate:

@@ -63,7 +63,7 @@ def filter_pool(
     with jobs > 1 the scoring is spread over worker processes. A zero
     threshold accepts only exact-zero scores.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise DomainError(f"threshold must be non-negative, got {threshold}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")

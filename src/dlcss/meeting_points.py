@@ -62,7 +62,7 @@ def evaluate_meeting_points(
     Ties break on the smallest candidate id. A route provider failure skips
     the candidate (logged), it does not abort the search.
     """
-    if threshold_m <= 0.0:
+    if not threshold_m > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold_m}")
     destination = r.points[-1]
 

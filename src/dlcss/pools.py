@@ -15,13 +15,11 @@ from pathlib import Path
 
 from . import geo, routing
 from .errors import DomainError, GenerationError, NoRouteError, ParseError
-from .geo import Coordinate, Route
+from .geo import COORD_DECIMALS, Coordinate, Route
 from .routing import GridGraph
 
 #: Resampling attempts per route before generation gives up.
 MAX_ATTEMPTS_PER_ROUTE = 1000
-
-COORD_DECIMALS = 7
 
 
 @dataclass

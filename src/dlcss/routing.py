@@ -8,12 +8,14 @@ be, and is the vehicle's detour acceptable?
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,7 +87,7 @@ class GridGraph:
             self._adj[v].append((u, w))
         for nbrs in self._adj:
             nbrs.sort()
-        if not self._is_connected():
+        if not _connected_with(n, self.edges):
             raise DomainError("grid graph is not connected")
         self._source_dists: dict[int, np.ndarray] = {}
 
@@ -136,21 +138,6 @@ class GridGraph:
                 keep.add(cand)
         return cls(rows, cols, origin, spacing_m, sorted(keep), removal_fraction, seed)
 
-    def _is_connected(self) -> bool:
-        n = self.rows * self.cols
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
-
     # -- geometry ----------------------------------------------------------
 
     def node(self, index: int) -> Coordinate:
@@ -162,7 +149,8 @@ class GridGraph:
 
     def snap(self, c: Coordinate) -> int:
         """Index of the nearest node; the coordinate must lie inside the grid bbox."""
-        eps = 1e-9
+        # half a unit of the written precision: edge nodes survive a GeoJSON round trip
+        eps = 0.5 * 10.0**-geo.COORD_DECIMALS
         if not (self.node_lats[0] - eps <= c.lat <= self.node_lats[-1] + eps):
             raise DomainError(f"latitude {c.lat} outside grid bounding box")
         if not (self.node_lons[0] - eps <= c.lon <= self.node_lons[-1] + eps):
@@ -301,7 +289,7 @@ def _clip(v: int, n: int) -> int:
     return max(0, min(n - 1, int(v)))
 
 
-def _connected_with(n: int, edges: set[tuple[int, int]]) -> bool:
+def _connected_with(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -372,3 +360,31 @@ def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:
         detour_fraction=fraction,
         compatible=fraction <= DETOUR_LIMIT_FRACTION,
     )
+
+
+def detour_fractions(g: GridGraph, routes: Sequence[Route]) -> np.ndarray:
+    """Matrix of ``assess_shared_ride(g, routes[i], routes[j]).detour_fraction``, bit for bit.
+
+    Rows are vehicles, columns requests. Each endpoint is snapped once and the
+    three legs are gathered from the memoized Dijkstra rows of the snapped
+    sources, added in the same order as in the single-pair oracle.
+    """
+    fractions = np.full((len(routes), len(routes)), math.inf)
+    ends: dict[int, tuple[int, int]] = {}
+    for i, r in enumerate(routes):
+        with contextlib.suppress(DomainError):  # unsnappable: the row and column stay inf
+            ends[i] = g.snap(r.points[0]), g.snap(r.points[-1])
+    if not ends:
+        return fractions
+    ok = list(ends)
+    starts, stops = ([ends[i][k] for i in ok] for k in (0, 1))
+    start_rows = [g.source_distances(u) for u in starts]
+    to_pickup = np.array([row[starts] for row in start_rows])
+    ride = np.array([row[v] for row, v in zip(start_rows, stops)])
+    to_vehicle_end = np.array([g.source_distances(v)[stops] for v in stops]).T
+    l_a = np.array([[geo.route_length(routes[i])] for i in ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.maximum(0.0, to_pickup + ride + to_vehicle_end - l_a) / l_a
+    fraction[l_a[:, 0] == 0.0] = math.inf  # zero-length vehicle
+    fractions[np.ix_(ok, ok)] = fraction
+    return fractions

@@ -225,6 +225,25 @@ def test_meeting_unknown_route_id(tmp_path, intact_grid):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["match", "eval", "eval-calibrate", "eval-cv", "meeting"])
+def test_nan_threshold_exits_1(tmp_path, intact_grid, command):
+    pool, graph = run_gen(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    if command == "match":
+        args = ["match", "--pool", str(pool)]
+    elif command.startswith("eval"):
+        args = ["eval", "--pool", str(pool), "--graph", str(graph)]
+        args += {"eval": [], "eval-calibrate": ["--calibrate"],
+                 "eval-cv": ["--cross-validate", "3"]}[command]
+    else:
+        a, r, pool_path, points_path = meeting_setup(tmp_path, intact_grid)
+        args = ["meeting", "--rows", "12", "--cols", "12", "--removal-fraction", "0",
+                "--pool", str(pool_path), "--vehicle", a.id, "--request", r.id,
+                "--points", str(points_path)]
+    assert main(args + ["--threshold", "nan"] + out) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_and_help():
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from dlcss import (
     calibrate_threshold,
     cross_validated_eval,
     emit_report,
+    evaluate_meeting_points,
+    filter_pool,
     generate_pool,
     read_report,
     run_eval,
@@ -152,6 +155,63 @@ def test_cross_validation_aggregates_held_out_folds(intact_grid, mini_pool):
     assert counts == 8
     again = cross_validated_eval(mini_pool, intact_grid, folds=4, seed=1)
     assert again == report
+
+
+def fold_by_fold(pool, g, folds, seed):
+    """Pairs and threshold of a k-fold run, one calibrate and one run_eval per fold."""
+    routes = sorted(pool.routes, key=lambda r: r.id)
+    order = list(range(len(routes)))
+    random.Random(seed).shuffle(order)
+    fold_of = {routes[idx].id: i % folds for i, idx in enumerate(order)}
+    pairs, thresholds = [], []
+    for f in range(folds):
+        train = RoutePool(routes=[r for r in routes if fold_of[r.id] != f])
+        held = RoutePool(routes=[r for r in routes if fold_of[r.id] == f])
+        thresholds.append(calibrate_threshold(train, g))
+        pairs.extend(run_eval(held, g, thresholds[-1]).pairs)
+    return pairs, max(thresholds)
+
+
+@pytest.mark.parametrize(
+    "grid, n, folds, seed", [("intact_grid", 8, 4, 3), ("default_grid", 30, 5, 11)]
+)
+def test_cross_validation_equals_fold_by_fold_runs(request, grid, n, folds, seed):
+    g = request.getfixturevalue(grid)
+    pool = generate_pool(g, n=n, seed=seed)  # the intact case is mini_pool
+    report = cross_validated_eval(pool, g, folds=folds, seed=1)
+    pairs, threshold = fold_by_fold(pool, g, folds, seed=1)
+    assert report.pairs == pairs
+    assert report.threshold_m == threshold
+    confusion = [
+        sum(1 for o in pairs if (o.accepted, o.compatible) == key)
+        for key in ((True, True), (True, False), (False, False), (False, True))
+    ]
+    assert confusion == [
+        report.true_positives,
+        report.false_positives,
+        report.true_negatives,
+        report.false_negatives,
+    ]
+    assert report.n_pairs == len(pairs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, pool: run_eval(pool, g, threshold_m=math.nan),
+        lambda g, pool: calibrate_threshold(pool, g, default_m=math.nan),
+        lambda g, pool: cross_validated_eval(pool, g, folds=2, default_m=math.nan),
+        lambda g, pool: filter_pool(pool.routes, pool.routes, threshold=math.nan),
+        lambda g, pool: evaluate_meeting_points(
+            pool.routes[0], pool.routes[1], [], lambda o, d: None, threshold_m=math.nan
+        ),
+    ],
+    ids=["run_eval", "calibrate_threshold", "cross_validated_eval", "filter_pool",
+         "evaluate_meeting_points"],
+)
+def test_nan_threshold_rejected(intact_grid, mini_pool, call):
+    with pytest.raises(DomainError):
+        call(intact_grid, mini_pool)
 
 
 def test_json_report_round_trip(tmp_path, intact_grid, mini_pool):

@@ -1,6 +1,7 @@
 """Pool generation determinism and GeoJSON round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -11,9 +12,11 @@ from dlcss import (
     ParseError,
     Route,
     RoutePool,
+    assess_shared_ride,
     generate_pool,
     read_geojson,
     route_length,
+    shortest_route,
     write_geojson,
 )
 
@@ -97,6 +100,32 @@ def test_round_trip_is_idempotent_after_first_cycle(tmp_path, intact_grid):
         for p, q in zip(orig.points, cycled.points):
             assert (q.lat, q.lon) == (round(p.lat, 7), round(p.lon, 7))
     assert once.metadata == pool.metadata
+
+
+def test_round_trip_keeps_edge_routes_routable(tmp_path, default_grid):
+    # on this grid, rounding to 7 decimals moves both the north and the east
+    # edge outward, past the last node
+    g = default_grid
+    north_east = g.num_nodes - 1
+    north = g.num_nodes - g.cols // 2
+    east = (g.rows // 2) * g.cols + g.cols - 1
+    inner = (g.rows // 3) * g.cols + g.cols // 3
+    ends = [(inner, north_east), (north, inner), (inner, east), (east, north)]
+    pool = RoutePool(
+        routes=[
+            Route(f"e{k}", shortest_route(g, g.node(u), g.node(v)).points)
+            for k, (u, v) in enumerate(ends)
+        ]
+    )
+    path = tmp_path / "edges.geojson"
+    write_geojson(pool, path)
+    cycled = read_geojson(path)
+    for a, a2 in zip(pool.routes, cycled.routes):
+        for r, r2 in zip(pool.routes, cycled.routes):
+            before = assess_shared_ride(g, a, r)
+            after = assess_shared_ride(g, a2, r2)
+            assert math.isfinite(after.detour_fraction), after.diagnostic
+            assert after.compatible == before.compatible
 
 
 def test_geojson_coordinate_order_is_lon_lat(tmp_path):

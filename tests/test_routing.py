@@ -16,9 +16,12 @@ from dlcss import (
     Route,
     assess_shared_ride,
     distance,
+    generate_pool,
     route_length,
     shortest_route,
 )
+
+from dlcss.routing import detour_fractions
 
 from reference import bellman_ford_path
 
@@ -222,3 +225,23 @@ def test_zero_length_vehicle_is_diagnosed(intact_grid):
     verdict = assess_shared_ride(g, stub, r)
     assert not verdict.compatible
     assert verdict.diagnostic is not None
+
+
+def test_detour_fractions_equal_single_pair_oracle(intact_grid):
+    g = intact_grid
+    p = Coordinate(50.76, 6.1)
+    routes = list(generate_pool(g, n=10, seed=4).routes) + [
+        Route("off-grid", (Coordinate(50.76, 6.1), Coordinate(40.0, 6.09))),
+        Route("stub", (p, p)),
+    ]
+    random.Random(0).shuffle(routes)
+    fractions = detour_fractions(g, routes)
+    assert fractions.shape == (len(routes), len(routes))
+    for i, a in enumerate(routes):
+        for j, r in enumerate(routes):
+            verdict = assess_shared_ride(g, a, r)
+            assert fractions[i, j] == verdict.detour_fraction, (a.id, r.id)
+            assert (fractions[i, j] <= DETOUR_LIMIT_FRACTION) == verdict.compatible
+    stub = [r.id for r in routes].index("stub")
+    assert np.isinf(fractions[stub]).all()
+    assert np.isfinite(np.delete(fractions[:, stub], stub)).any()
