@@ -8,54 +8,15 @@ error, 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import core, evaluation, matching, meeting_points, pools, routing
 from .errors import DomainError, ParseError
 from .geo import Coordinate
 from .routing import GridGraph
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of parsed flags; one instance drives one subcommand run."""
-
-    subcommand: str
-    out: Path | None = None
-    graph_out: Path | None = None
-    pool: Path | None = None
-    requests: Path | None = None
-    graph: Path | None = None
-    points: Path | None = None
-    rows: int = 20
-    cols: int = 20
-    spacing_m: float = 250.0
-    removal_fraction: float = 0.10
-    origin_lat: float = 50.75
-    origin_lon: float = 6.08
-    seed: int = 0
-    n: int = 100
-    min_length_m: float = 0.0
-    threshold_m: float = matching.DEFAULT_THRESHOLD_M
-    calibrate: bool = False
-    cv_folds: int = 0
-    fmt: str = "json"
-    jobs: int = 1
-    fractions: tuple[float, ...] = ()
-    sums: tuple[float, ...] = ()
-    vehicle: str = ""
-    request: str = ""
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in vars(ns).items() if k in names and v is not None}
-        return cls(**kwargs)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -90,7 +51,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_grid(cfg: RunConfig) -> GridGraph:
+def _build_grid(cfg: argparse.Namespace) -> GridGraph:
     if cfg.graph is not None:
         return GridGraph.read_json(cfg.graph)
     return GridGraph.build(
@@ -123,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool GeoJSON output (default: %(default)s)")
     p.add_argument("--graph-out", type=Path, default=Path("graph.json"),
                    help="grid graph JSON output (default: %(default)s)")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, graph=None)  # gen always builds its grid
 
     p = sub.add_parser("match", help="score all vehicle/request pairs against a threshold")
     p.add_argument("--pool", type=Path, required=True, help="vehicle pool GeoJSON")
@@ -195,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     g = _build_grid(cfg)
     pool = pools.generate_pool(g, cfg.n, cfg.seed, cfg.min_length_m)
     pools.write_geojson(pool, cfg.out)
@@ -217,7 +178,7 @@ def _decision_line(d: matching.MatchDecision) -> str:
     )
 
 
-def cmd_match(cfg: RunConfig) -> int:
+def cmd_match(cfg: argparse.Namespace) -> int:
     vehicles = pools.read_geojson(cfg.pool)
     requests = vehicles if cfg.requests is None else pools.read_geojson(cfg.requests)
     decisions = matching.filter_pool(
@@ -231,7 +192,7 @@ def cmd_match(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     g = _build_grid(cfg)
     if cfg.pool is not None:
         pool = pools.read_geojson(cfg.pool)
@@ -255,7 +216,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     grid = core.metric_sweep(list(cfg.fractions), list(cfg.sums))
     lines = ["overlap_fraction,segment_sum,sm"]
     for i, frac in enumerate(cfg.fractions):
@@ -266,7 +227,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_meeting(cfg: RunConfig) -> int:
+def cmd_meeting(cfg: argparse.Namespace) -> int:
     pool = pools.read_geojson(cfg.pool)
     by_id = {r.id: r for r in pool.routes}
     try:
@@ -314,9 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    cfg = RunConfig.from_namespace(ns)
     try:
-        return ns.func(cfg)
+        return ns.func(ns)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .geo import Route
 #: Sentinel score for pairs whose matched span has zero length (a single
 #: matched point). Compares greater than every finite score.
 NO_OVERLAP = math.inf
+
+#: Cells per phase-one tile of ``score_requests`` (I vehicle points times
+#: TILE_CELLS // I request points): one block over all requests is slower.
+TILE_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -51,19 +55,6 @@ class DistanceMatrix:
     min_row: np.ndarray  # shape (J,), argmin vehicle index per request point
     min_dist: np.ndarray  # shape (J,), the minimised distance in metres
 
-    def cell(self, i: int, j: int) -> float | None:
-        """Value at (i, j), or None where the matrix is unset."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DomainError(f"cell ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        if int(self.min_row[j]) == i:
-            return float(self.min_dist[j])
-        return None
-
-    def set_cells(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (i, j, distance) for every set cell, in column order."""
-        for j in range(self.cols):
-            yield int(self.min_row[j]), j, float(self.min_dist[j])
-
 
 @dataclass(frozen=True)
 class DlcssResult:
@@ -83,9 +74,28 @@ def nearest_assignment(a: Route, r: Route) -> DistanceMatrix:
     ``len(a) * len(r)`` point distances.
     """
     d = geo.pairwise_distances_m(a, r)
-    rows = np.argmin(d, axis=0)  # first occurrence wins, i.e. smallest i
-    dists = d[rows, np.arange(d.shape[1])]
+    rows, dists = _column_minima(d)
     return DistanceMatrix(rows=d.shape[0], cols=d.shape[1], min_row=rows, min_dist=dists)
+
+
+def _column_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a distance block: the argmin row and its distance."""
+    rows = np.argmin(d, axis=0)  # first occurrence wins, i.e. smallest i
+    return rows, d[rows, np.arange(d.shape[1])]
+
+
+def _walk(rows: list, dists: list, cols: list) -> list[DlcssSegment]:
+    """Phase two over one request's set cells sorted by (row, distance, column).
+
+    A row's first cell at a column >= the cursor is its shortest candidate
+    (ties: smallest column), and becomes a segment.
+    """
+    segments, cursor, taken = [], 0, -1
+    for i, d, j in zip(rows, dists, cols):
+        if i != taken and j >= cursor:
+            segments.append(DlcssSegment(distance_m=d, a_index=i, r_index=j))
+            cursor, taken = j, i
+    return segments
 
 
 def select_segments(dm: DistanceMatrix) -> list[DlcssSegment]:
@@ -97,26 +107,12 @@ def select_segments(dm: DistanceMatrix) -> list[DlcssSegment]:
     segments of consecutive vehicle points). The shortest candidate wins,
     ties going to the smallest j; rows with no candidate are skipped.
     """
-    cols_by_row: dict[int, list[int]] = {}
-    for j in range(dm.cols):
-        cols_by_row.setdefault(int(dm.min_row[j]), []).append(j)
+    order = np.lexsort((dm.min_dist, dm.min_row))  # stable: equal distances keep j order
+    return _walk(dm.min_row[order].tolist(), dm.min_dist[order].tolist(), order.tolist())
 
-    segments: list[DlcssSegment] = []
-    start_j = 0
-    for i in range(dm.rows):
-        best_d = math.inf
-        best_j = -1
-        for j in cols_by_row.get(i, ()):
-            if j < start_j:
-                continue
-            d = float(dm.min_dist[j])
-            if d < best_d:  # strict: first (smallest) j kept on ties
-                best_d, best_j = d, j
-        if best_j < 0:
-            continue
-        segments.append(DlcssSegment(distance_m=best_d, a_index=i, r_index=best_j))
-        start_j = best_j
-    return segments
+
+def _score(l_a: float, l_sub_a: float, sum_m: float) -> float:
+    return NO_OVERLAP if l_sub_a == 0.0 else (l_a / l_sub_a) * sum_m
 
 
 def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
@@ -130,27 +126,53 @@ def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
     if not segments:
         raise DomainError("cannot score an empty segment list")
     l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
-    if l_sub_a == 0.0:
-        return NO_OVERLAP
-    l_a = geo.route_length(a)
-    return (l_a / l_sub_a) * sum(s.distance_m for s in segments)
+    return _score(geo.route_length(a), l_sub_a, sum(s.distance_m for s in segments))
 
 
 def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     """Run both phases and the score for a (vehicle, request) route pair."""
-    dm = nearest_assignment(a, r)
-    segments = select_segments(dm)
+    segments = select_segments(nearest_assignment(a, r))
     sum_ls = sum(s.distance_m for s in segments)
     l_a = geo.route_length(a)
     l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
-    sm = similarity_metric(segments, a)
     return DlcssResult(
         segments=tuple(segments),
         sum_segments_m=sum_ls,
         l_sub_a_m=l_sub_a,
         l_a_m=l_a,
-        sm=sm,
+        sm=_score(l_a, l_sub_a, sum_ls),
     )
+
+
+def score_requests(a: Route, requests: Sequence[Route]) -> list[float]:
+    """sm of vehicle ``a`` against each request, equal to ``compute_dlcss(a, r).sm``.
+
+    Phase one runs over all requests' points in column tiles; one stable
+    sort by (request, row, distance) then orders each request's phase two.
+    """
+    if not requests:
+        return []
+    lens = [len(r.points) for r in requests]
+    total = sum(lens)
+    q = [np.concatenate(v) for v in zip(*((*r.trig, r.lats, r.lons) for r in requests))]
+    p = (*a.trig, a.lats, a.lons)
+    rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
+    width = max(1, TILE_CELLS // len(a.points))
+    for c0 in range(0, total, width):
+        tile = slice(c0, c0 + width)
+        rows[tile], dists[tile] = _column_minima(geo.distance_block(p, [v[tile] for v in q]))
+    request_of = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((dists, rows, request_of))  # stable: equal distances keep j order
+    starts = np.cumsum([0, *lens[:-1]])
+    rows_s, dists_s = rows[order].tolist(), dists[order].tolist()
+    cols_s = (order - starts[request_of]).tolist()  # j within its request's block
+
+    out, end = [], 0
+    for n in lens:
+        start, end = end, end + n
+        segments = _walk(rows_s[start:end], dists_s[start:end], cols_s[start:end])
+        out.append(similarity_metric(segments, a))
+    return out
 
 
 def metric_sweep(
@@ -165,8 +187,9 @@ def metric_sweep(
     sums = np.asarray(segment_sums, dtype=np.float64)
     if fracs.ndim != 1 or sums.ndim != 1:
         raise DomainError("overlap_fractions and segment_sums must be 1-dimensional")
-    if np.any(fracs <= 0.0) or np.any(fracs > 1.0):
+    # written so that NaN fails each check
+    if np.any(~((fracs > 0.0) & (fracs <= 1.0))):
         raise DomainError("overlap fractions must lie in (0, 1]")
-    if np.any(sums < 0.0):
+    if np.any(~(sums >= 0.0)):
         raise DomainError("segment sums must be non-negative")
     return sums[None, :] / fracs[:, None]

@@ -9,7 +9,6 @@ pairs.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matching, routing
+from . import core, routing
 from .errors import DomainError, ParseError
 from .geo import Route
 from .matching import DEFAULT_THRESHOLD_M
@@ -74,34 +73,39 @@ class EvalReport:
     pairs: list[PairOutcome] = field(default_factory=list, compare=False, repr=False)
 
 
-def _scorer(routes: list[Route]):
-    """sm of vehicle ``routes[i]`` and request ``routes[j]``, each pair scored at most once."""
-    return functools.cache(lambda i, j: matching.score_pair(routes[i], routes[j]))
-
-
-def _max_compatible_sm(fractions: np.ndarray, members: np.ndarray, score, default_m: float) -> float:
-    """Largest finite sm over the oracle-compatible ordered pairs among ``members``."""
-    mask = (fractions <= routing.DETOUR_LIMIT_FRACTION) & members[:, None] & members[None, :]
+def _pairs(members: np.ndarray) -> np.ndarray:
+    """Mask of the ordered pairs (a != r) among ``members``."""
+    mask = members[:, None] & members[None, :]
     np.fill_diagonal(mask, False)
-    scores = (score(i, j) for i, j in np.argwhere(mask).tolist())
-    return max((sm for sm in scores if math.isfinite(sm)), default=default_m)
+    return mask
 
 
-def _judge(routes, fractions: np.ndarray, members: np.ndarray, threshold_m: float, score):
-    """PairOutcome of every ordered pair among ``members`` (a != r), in (a_id, r_id) order."""
-    idx = np.flatnonzero(members).tolist()
-    labels = fractions.tolist()
-    outcomes = []
-    for i in idx:
-        for j in idx:
-            if i != j:
-                sm, fraction = score(i, j), labels[i][j]
-                accepted = math.isfinite(sm) and sm <= threshold_m
-                compatible = fraction <= routing.DETOUR_LIMIT_FRACTION
-                outcomes.append(
-                    PairOutcome(routes[i].id, routes[j].id, sm, fraction, accepted, compatible)
-                )
-    return outcomes
+def _sm_table(routes: list[Route], mask: np.ndarray) -> np.ndarray:
+    """sm of vehicle ``routes[i]`` and request ``routes[j]`` where ``mask``, NaN elsewhere."""
+    table = np.full(mask.shape, np.nan)
+    for i, row in enumerate(mask):
+        cols = np.flatnonzero(row)
+        table[i, cols] = core.score_requests(routes[i], [routes[j] for j in cols.tolist()])
+    return table
+
+
+def _max_finite_sm(table: np.ndarray, mask: np.ndarray, default_m: float) -> float:
+    """Largest finite sm of ``table`` where ``mask``, else ``default_m``."""
+    scores = table[mask & np.isfinite(table)]
+    return float(scores.max()) if scores.size else default_m
+
+
+def _judge(routes, fractions: np.ndarray, table: np.ndarray, mask: np.ndarray, threshold_m: float):
+    """PairOutcome of every pair in ``mask``, in (a_id, r_id) order."""
+    labels, scores = fractions.tolist(), table.tolist()
+    return [
+        PairOutcome(
+            routes[i].id, routes[j].id, scores[i][j], labels[i][j],
+            accepted=math.isfinite(scores[i][j]) and scores[i][j] <= threshold_m,
+            compatible=labels[i][j] <= routing.DETOUR_LIMIT_FRACTION,
+        )
+        for i, j in np.argwhere(mask).tolist()
+    ]
 
 
 def calibrate_threshold(
@@ -118,8 +122,9 @@ def calibrate_threshold(
     if not default_m >= 0.0:
         raise DomainError(f"default_m must be non-negative, got {default_m}")
     routes = sorted(pool.routes, key=lambda r: r.id)
-    fractions = routing.detour_fractions(g, routes)
-    return _max_compatible_sm(fractions, np.ones(len(routes), bool), _scorer(routes), default_m)
+    compatible = routing.detour_fractions(g, routes) <= routing.DETOUR_LIMIT_FRACTION
+    mask = compatible & _pairs(np.ones(len(routes), bool))
+    return _max_finite_sm(_sm_table(routes, mask), mask, default_m)
 
 
 def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
@@ -135,7 +140,8 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     t0 = time.perf_counter()
     fractions = routing.detour_fractions(g, routes)
     t1 = time.perf_counter()
-    outcomes = _judge(routes, fractions, np.ones(len(routes), bool), threshold_m, _scorer(routes))
+    mask = _pairs(np.ones(len(routes), bool))
+    outcomes = _judge(routes, fractions, _sm_table(routes, mask), mask, threshold_m)
     t2 = time.perf_counter()
 
     runtime_ms = {
@@ -191,14 +197,16 @@ def cross_validated_eval(
     fold_of[order] = np.arange(len(routes)) % folds
 
     fractions = routing.detour_fractions(g, routes)
-    score = _scorer(routes)
+    compatible = fractions <= routing.DETOUR_LIMIT_FRACTION
+    held = [_pairs(fold_of == f) for f in range(folds)]
+    train = [compatible & _pairs(fold_of != f) for f in range(folds)]
+    table = _sm_table(routes, np.logical_or.reduce(held + train))
     outcomes: list[PairOutcome] = []
     thresholds: list[float] = []
     # folds <= n_routes/2 deals every fold at least 2 routes
-    for f in range(folds):
-        held = fold_of == f
-        thresholds.append(_max_compatible_sm(fractions, ~held, score, default_m))
-        outcomes.extend(_judge(routes, fractions, held, thresholds[-1], score))
+    for held_pairs, train_pairs in zip(held, train):
+        thresholds.append(_max_finite_sm(table, train_pairs, default_m))
+        outcomes.extend(_judge(routes, fractions, table, held_pairs, thresholds[-1]))
     return _aggregate(outcomes, max(thresholds), runtime_ms={})
 
 

@@ -110,17 +110,25 @@ def distance(a: Coordinate, b: Coordinate) -> float:
     return float(_EARTH_DIAMETER_M * np.arcsin(math.sqrt(h)))
 
 
-def pairwise_distances_m(a: Route, b: Route) -> np.ndarray:
-    """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
-    sphi1, cphi1, slam1, clam1 = (v[:, None] for v in a.trig)
-    sphi2, cphi2, slam2, clam2 = (v[None, :] for v in b.trig)
+def distance_block(p, q) -> np.ndarray:
+    """Distances from point set ``p`` (rows) to ``q`` (columns), bit-equal to scalar calls.
+
+    A point set is six arrays: its ``Route.trig`` four, then lats and lons.
+    """
+    sphi1, cphi1, slam1, clam1, lat1, lon1 = (v[:, None] for v in p)
+    sphi2, cphi2, slam2, clam2, lat2, lon2 = (v[None, :] for v in q)
     h = _haversine_h(sphi1, cphi1, slam1, clam1, sphi2, cphi2, slam2, clam2)
     np.clip(h, 0.0, 1.0, out=h)
     d = _EARTH_DIAMETER_M * np.arcsin(np.sqrt(h))
-    same = (a.lats[:, None] == b.lats[None, :]) & (a.lons[:, None] == b.lons[None, :])
+    same = (lat1 == lat2) & (lon1 == lon2)
     if same.any():
         d[same] = 0.0
     return d
+
+
+def pairwise_distances_m(a: Route, b: Route) -> np.ndarray:
+    """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
+    return distance_block((*a.trig, a.lats, a.lons), (*b.trig, b.lats, b.lons))
 
 
 def route_length(r: Route) -> float:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
-from .core import compute_dlcss
+from .core import score_requests
 from .errors import DomainError
 from .geo import Route
 
@@ -33,22 +34,21 @@ class MatchDecision:
 
 def score_pair(a: Route, r: Route) -> float:
     """Similarity score with ``a`` as the vehicle and ``r`` as the request."""
-    return compute_dlcss(a, r).sm
+    return score_requests(a, [r])[0]
 
 
-def _decide(a: Route, r: Route, threshold: float) -> MatchDecision:
-    sm = score_pair(a, r)
-    return MatchDecision(
-        a_id=a.id,
-        r_id=r.id,
-        sm=sm,
-        threshold=threshold,
-        accepted=math.isfinite(sm) and sm <= threshold,
-    )
-
-
-def _score_chunk(pairs: list[tuple[Route, Route, float]]) -> list[MatchDecision]:
-    return [_decide(a, r, t) for a, r, t in pairs]
+def _decide(a: Route, requests: Sequence[Route], threshold: float) -> list[MatchDecision]:
+    """Decisions for vehicle ``a`` against each request, in request order."""
+    return [
+        MatchDecision(
+            a_id=a.id,
+            r_id=r.id,
+            sm=sm,
+            threshold=threshold,
+            accepted=math.isfinite(sm) and sm <= threshold,
+        )
+        for r, sm in zip(requests, score_requests(a, requests))
+    ]
 
 
 def filter_pool(
@@ -60,7 +60,7 @@ def filter_pool(
     """Score every ordered (vehicle, request) pair against the threshold.
 
     Output is sorted by (a_id, r_id) and is identical for any ``jobs`` value;
-    with jobs > 1 the scoring is spread over worker processes. A zero
+    with jobs > 1 whole vehicles are spread over worker processes. A zero
     threshold accepts only exact-zero scores.
     """
     if not threshold >= 0.0:
@@ -69,17 +69,16 @@ def filter_pool(
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     vehicles = sorted(vehicle_routes, key=lambda x: x.id)
     requests = sorted(request_routes, key=lambda x: x.id)
-    pairs = [(a, r, threshold) for a in vehicles for r in requests]
-    if jobs == 1 or len(pairs) < 2 * jobs:
-        return _score_chunk(pairs)
-    chunks = [pairs[k::jobs] for k in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        scored = list(pool.map(_score_chunk, chunks))
-    # re-interleave: chunk k holds pairs k, k+jobs, k+2*jobs, ...
-    out: list[MatchDecision] = [None] * len(pairs)  # type: ignore[list-item]
-    for k, chunk in enumerate(scored):
-        out[k :: jobs] = chunk
-    return out
+    if jobs == 1 or len(vehicles) < 2:
+        rows = [_decide(a, requests, threshold) for a in vehicles]
+    else:
+        # whole vehicles per task; a chunk pickles the shared request list once
+        chunk = -(-len(vehicles) // jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(
+                pool.map(_decide, vehicles, repeat(requests), repeat(threshold), chunksize=chunk)
+            )
+    return [d for row in rows for d in row]
 
 
 def rank_candidates(
@@ -95,7 +94,7 @@ def rank_candidates(
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    decisions = [_decide(a, request, threshold) for a in vehicle_routes]
+    decisions = [d for a in vehicle_routes for d in _decide(a, [request], threshold)]
     finite = [d for d in decisions if math.isfinite(d.sm)]
     finite.sort(key=lambda d: (d.sm, d.a_id))
     return finite[:k]

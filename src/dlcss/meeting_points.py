@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import matching
+from . import core, matching
 from .errors import DomainError, ParseError
 from .geo import Coordinate, Route
 
@@ -52,7 +51,6 @@ def evaluate_meeting_points(
     candidates: list[MeetingPoint],
     route_provider: RouteProvider,
     threshold_m: float = matching.DEFAULT_THRESHOLD_M,
-    parallel: bool = False,
 ) -> MeetingMatch | None:
     """Score the request rerouted through each candidate pickup point.
 
@@ -65,34 +63,19 @@ def evaluate_meeting_points(
     if not threshold_m > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold_m}")
     destination = r.points[-1]
-
-    def trial(m: MeetingPoint) -> MeetingMatch | None:
+    trials: list[tuple[str, Route]] = []
+    for m in candidates:
         try:
-            rerouted = route_provider(m.location, destination)
+            trials.append((m.id, route_provider(m.location, destination)))
         except Exception as exc:
             logger.warning("meeting point %s skipped: %s", m.id, exc)
-            return None
-        return MeetingMatch(
-            meeting_point_id=m.id,
-            rerouted_request=rerouted,
-            sm=matching.score_pair(a, rerouted),
-        )
-
-    if parallel and len(candidates) > 1:
-        with ThreadPoolExecutor() as pool:
-            scored = list(pool.map(trial, candidates))
-    else:
-        scored = [trial(m) for m in candidates]
-
-    best: MeetingMatch | None = None
-    for match in scored:
-        if match is None:
-            continue
-        if best is None or (match.sm, match.meeting_point_id) < (best.sm, best.meeting_point_id):
-            best = match
-    if best is None or not (math.isfinite(best.sm) and best.sm <= threshold_m):
+    scores = core.score_requests(a, [route for _, route in trials])
+    scored = [(sm, mid, route) for (mid, route), sm in zip(trials, scores)]
+    best = min(scored, key=lambda t: t[:2], default=None)
+    if best is None or not (math.isfinite(best[0]) and best[0] <= threshold_m):
         return None
-    return best
+    sm, mid, route = best
+    return MeetingMatch(meeting_point_id=mid, rerouted_request=route, sm=sm)
 
 
 def load_meeting_points(source: str | Path) -> list[MeetingPoint]:

@@ -140,8 +140,11 @@ def read_geojson(path: str | Path) -> RoutePool:
         rid = props.get("id")
         if not isinstance(rid, str) or not rid:
             raise ParseError(f"feature {i}: missing route id in properties.id")
+        if not all(isinstance(pos, list) and len(pos) >= 2 for pos in coords):
+            raise ParseError(f"feature {i}: every position needs at least [lon, lat]")
         try:
-            points = [Coordinate(float(lat), float(lon)) for lon, lat in coords]
+            # an altitude (RFC 7946 section 3.1.1) is dropped
+            points = [Coordinate(float(pos[1]), float(pos[0])) for pos in coords]
             routes.append(Route(id=rid, points=points))
         except (DomainError, TypeError, ValueError) as exc:
             raise ParseError(f"feature {i}: {exc}") from exc

@@ -81,6 +81,28 @@ def test_match_jobs_identical_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_match_pool_with_altitudes(tmp_path):
+    pool, _ = run_gen(tmp_path)
+    doc = json.loads(pool.read_text())
+    for feat in doc["features"]:
+        feat["geometry"]["coordinates"] = [[*pos, 42.0] for pos in feat["geometry"]["coordinates"]]
+    high = tmp_path / "high.geojson"
+    high.write_text(json.dumps(doc))
+    out1 = tmp_path / "flat.jsonl"
+    out2 = tmp_path / "high.jsonl"
+    assert main(["match", "--pool", str(pool), "--out", str(out1)]) == 0
+    assert main(["match", "--pool", str(high), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_match_pool_position_without_lat(tmp_path):
+    bad = tmp_path / "bad.geojson"
+    feature = {"type": "Feature", "properties": {"id": "r0"},
+               "geometry": {"type": "LineString", "coordinates": [[6.0, 50.75], [6.01]]}}
+    bad.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+    assert main(["match", "--pool", str(bad)]) == 2
+
+
 def test_match_missing_pool_file(tmp_path):
     assert main(["match", "--pool", str(tmp_path / "absent.geojson")]) == 2
 
@@ -164,6 +186,12 @@ def test_sweep_csv(tmp_path):
 def test_sweep_rejects_bad_fraction(tmp_path):
     assert main(["sweep", "--fractions", "0.0", "--sums", "1",
                  "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_sweep_rejects_nan(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--fractions", "nan,0.5", "--sums", "10,nan", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_rejects_unparseable_fraction(tmp_path):

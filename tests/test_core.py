@@ -47,16 +47,14 @@ def test_nearest_assignment_sets_one_cell_per_column():
     r = random_route(rng, 7, "r")
     dm = nearest_assignment(a, r)
     assert (dm.rows, dm.cols) == (9, 7)
-    cells = list(dm.set_cells())
-    assert len(cells) == 7
-    assert [j for _, j, _ in cells] == list(range(7))
+    assert dm.min_row.shape == dm.min_dist.shape == (7,)
     # each set cell is the column minimum with the argmin row
     from dlcss import pairwise_distances_m
 
     d = pairwise_distances_m(a, r)
-    for i, j, v in cells:
-        assert v == d[:, j].min()
-        assert i == int(np.argmin(d[:, j]))
+    for j in range(7):
+        assert dm.min_dist[j] == d[:, j].min()
+        assert dm.min_row[j] == int(np.argmin(d[:, j]))
 
 
 def test_nearest_assignment_tie_prefers_smaller_vehicle_index():
@@ -68,16 +66,12 @@ def test_nearest_assignment_tie_prefers_smaller_vehicle_index():
     assert int(dm.min_row[0]) == 0
 
 
-def test_cell_accessor():
+def test_set_cell_lies_on_argmin_row():
     a = Route("a", (Coordinate(50.75, 6.0), Coordinate(50.75, 6.01)))
     r = Route("r", (Coordinate(50.751, 6.0), Coordinate(50.751, 6.01)))
     dm = nearest_assignment(a, r)
-    assert dm.cell(0, 0) is not None
-    assert dm.cell(1, 0) is None
-    with pytest.raises(DomainError):
-        dm.cell(2, 0)
-    with pytest.raises(DomainError):
-        dm.cell(0, -1)
+    assert dm.min_row.tolist() == [0, 1]
+    assert dm.min_dist[0] > 0.0
 
 
 def test_perpendicular_offset_segment_values():
@@ -141,7 +135,7 @@ def test_per_row_minimality_replay():
         segs = select_segments(dm)
         start_j = 0
         by_row = {}
-        for i, j, v in dm.set_cells():
+        for j, (i, v) in enumerate(zip(dm.min_row.tolist(), dm.min_dist.tolist())):
             by_row.setdefault(i, []).append((j, v))
         for s in segs:
             candidates = [v for j, v in by_row[s.a_index] if j >= start_j]
@@ -262,3 +256,12 @@ def test_metric_sweep_validation():
         metric_sweep([0.5], [-1.0])
     with pytest.raises(DomainError):
         metric_sweep([[0.5]], [1.0])
+
+
+@pytest.mark.parametrize(
+    "fractions, sums",
+    [([math.nan], [1.0]), ([0.5], [math.nan]), ([math.nan, 0.5], [10.0, math.nan])],
+)
+def test_metric_sweep_rejects_nan(fractions, sums):
+    with pytest.raises(DomainError):
+        metric_sweep(fractions, sums)

@@ -1,0 +1,117 @@
+"""The batched kernel: a vehicle against many requests, bit for bit.
+
+``core.score_requests`` must return exactly ``compute_dlcss(a, r).sm`` for
+every request, which in turn must equal the brute-force reference, for any
+phase-one tile width.
+"""
+
+import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from dlcss import NO_OVERLAP, Coordinate, Route, compute_dlcss, filter_pool
+from dlcss import core
+
+from reference import reference_segments, reference_sm
+from test_geo import random_route
+
+#: Points sit on a lattice of ~35-55 m cells, so routes share and repeat points.
+LAT0, LON0, STEP = 50.75, 6.08, 0.0005
+#: Budgets that put tile edges inside requests, down to one column per tile.
+SMALL_BUDGETS = (1, 7, 64)
+
+lattice_points = st.builds(
+    lambda i, k: Coordinate(LAT0 + STEP * i, LON0 + STEP * k),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+
+
+@st.composite
+def routes(draw, rid):
+    n = draw(st.integers(2, 60))  # drawn first: plain lists stay short
+    return Route(rid, draw(st.lists(lattice_points, min_size=n, max_size=n)))
+
+
+@st.composite
+def batches(draw):
+    """A vehicle and 1-8 requests: random, identical to it, a jittered copy
+    (one segment per point, so summation order shows), or near one of its points."""
+    a = draw(routes("a"))
+    requests = []
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "identical", "jittered", "one_point"]))
+        if kind == "random":
+            requests.append(draw(routes(f"r{k}")))
+        elif kind == "identical":
+            requests.append(Route(f"r{k}", a.points))
+        elif kind == "jittered":
+            n = len(a.points)
+            shifts = draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))
+            requests.append(Route(f"r{k}", [
+                Coordinate(p.lat + STEP / 8 * di, p.lon + STEP / 8 * dk)
+                for p, di, dk in zip(a.points, shifts[:n], shifts[n:])
+            ]))
+        else:  # every request point nearest one vehicle point: NO_OVERLAP
+            p = a.points[draw(st.integers(0, len(a.points) - 1))]
+            n = draw(st.integers(2, 5))
+            requests.append(
+                Route(f"r{k}", [Coordinate(p.lat + 1e-5 * m, p.lon) for m in range(n)])
+            )
+    return a, requests
+
+
+def assert_bit_equal(a, requests):
+    want = [reference_sm(reference_segments(a, r), a) for r in requests]
+    assert [compute_dlcss(a, r).sm for r in requests] == want
+    for budget in (core.TILE_CELLS, *SMALL_BUDGETS):
+        with mock.patch.object(core, "TILE_CELLS", budget):
+            got = core.score_requests(a, requests)
+        assert got == want, budget
+        assert all(type(sm) is float for sm in got)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batches())
+def test_kernel_equals_single_pair_and_reference(batch):
+    assert_bit_equal(*batch)
+
+
+def test_kernel_on_random_routes():
+    rng = random.Random(21)
+    pool = [random_route(rng, rng.randint(2, 60), f"x{k}") for k in range(12)]
+    for a in pool[:4]:
+        assert_bit_equal(a, pool)
+
+
+def test_kernel_covers_identity_and_no_overlap():
+    a = Route("a", [Coordinate(LAT0, LON0 + STEP * k) for k in range(6)])
+    near_one = Route("n", [Coordinate(LAT0 + 1e-5, LON0), Coordinate(LAT0 + 2e-5, LON0)])
+    requests = [a, near_one, Route("b", a.points[::-1])]
+    assert core.score_requests(a, requests)[:2] == [0.0, NO_OVERLAP]
+    assert_bit_equal(a, requests)
+
+
+def test_kernel_without_requests():
+    a = Route("a", [Coordinate(LAT0, LON0), Coordinate(LAT0, LON0 + STEP)])
+    assert core.score_requests(a, []) == []
+
+
+def lattice_route(rng, rid):
+    n = rng.randint(2, 20)
+    return Route(rid, [
+        Coordinate(LAT0 + STEP * rng.randint(0, 20), LON0 + STEP * rng.randint(0, 20))
+        for _ in range(n)
+    ])
+
+
+def test_filter_pool_jobs_split_whole_vehicles():
+    rng = random.Random(22)
+    vehicles = [lattice_route(rng, f"v{k}") for k in range(5)]  # 3 + 2 over two workers
+    requests = [lattice_route(rng, f"r{k}") for k in range(7)]
+    serial = filter_pool(vehicles, requests)
+    assert [(d.a_id, d.r_id, d.sm) for d in serial] == [
+        (a.id, r.id, compute_dlcss(a, r).sm) for a in vehicles for r in requests
+    ]
+    assert filter_pool(vehicles, requests, jobs=2) == serial

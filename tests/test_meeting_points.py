@@ -102,20 +102,6 @@ def test_all_providers_failing_returns_none(intact_grid):
     assert evaluate_meeting_points(a, r, cands, always_fails) is None
 
 
-def test_parallel_equals_sequential(intact_grid, grid_provider):
-    a = scenarios.meeting_vehicle(intact_grid)
-    r = scenarios.meeting_request(intact_grid)
-    cands = scenarios.meeting_candidates(intact_grid)
-    seq = evaluate_meeting_points(
-        a, r, cands, grid_provider, threshold_m=scenarios.MEETING_THRESHOLD_M
-    )
-    par = evaluate_meeting_points(
-        a, r, cands, grid_provider, threshold_m=scenarios.MEETING_THRESHOLD_M,
-        parallel=True,
-    )
-    assert (par.meeting_point_id, par.sm) == (seq.meeting_point_id, seq.sm)
-
-
 def test_threshold_validation(intact_grid, grid_provider):
     a = scenarios.meeting_vehicle(intact_grid)
     r = scenarios.meeting_request(intact_grid)

@@ -188,6 +188,21 @@ def test_read_names_offending_feature(tmp_path):
         read_geojson(write_doc(tmp_path, [good, off_globe]))
 
 
+def test_read_drops_altitude(tmp_path):
+    flat = line_feature("r0", [[6.0, 50.75], [6.01, 50.75]])
+    high = line_feature("r0", [[6.0, 50.75, 120.5], [6.01, 50.75, 98.0]])
+    assert read_geojson(write_doc(tmp_path, [high])).routes == read_geojson(
+        write_doc(tmp_path, [flat])
+    ).routes
+
+
+def test_read_rejects_position_without_lat(tmp_path):
+    good = line_feature("r0", [[6.0, 50.75], [6.01, 50.75]])
+    lon_only = line_feature("r1", [[6.0, 50.75], [6.01]])
+    with pytest.raises(ParseError, match="feature 1"):
+        read_geojson(write_doc(tmp_path, [good, lon_only]))
+
+
 def test_read_rejects_duplicate_ids(tmp_path):
     dup = [
         line_feature("r0", [[6.0, 50.75], [6.01, 50.75]]),
