@@ -8,13 +8,10 @@ on a synthetic road grid.
 
 from .core import (
     NO_OVERLAP,
-    DistanceMatrix,
     DlcssResult,
     DlcssSegment,
     compute_dlcss,
     metric_sweep,
-    nearest_assignment,
-    select_segments,
     similarity_metric,
 )
 from .errors import DomainError, GenerationError, NoRouteError, ParseError
@@ -67,7 +64,6 @@ __all__ = [
     "DETOUR_LIMIT_FRACTION",
     "Coordinate",
     "Route",
-    "DistanceMatrix",
     "DlcssSegment",
     "DlcssResult",
     "MatchDecision",
@@ -86,8 +82,6 @@ __all__ = [
     "pairwise_distances_m",
     "route_length",
     "arc_length_between",
-    "nearest_assignment",
-    "select_segments",
     "similarity_metric",
     "compute_dlcss",
     "metric_sweep",

@@ -27,8 +27,8 @@ from .geo import Route
 #: matched point). Compares greater than every finite score.
 NO_OVERLAP = math.inf
 
-#: Cells per phase-one tile of ``score_requests`` (I vehicle points times
-#: TILE_CELLS // I request points): one block over all requests is slower.
+#: Cells per phase-one tile (I vehicle points times TILE_CELLS // I request
+#: points): one block over all requests is slower.
 TILE_CELLS = 16_384
 
 
@@ -39,21 +39,6 @@ class DlcssSegment:
     distance_m: float
     a_index: int
     r_index: int
-
-
-@dataclass
-class DistanceMatrix:
-    """Sparse result of the per-request-point nearest assignment.
-
-    Conceptually an I x J matrix with exactly one set cell per column j,
-    at row ``min_row[j]`` with value ``min_dist[j]``; every other cell is
-    unset. Only the J set cells are stored.
-    """
-
-    rows: int
-    cols: int
-    min_row: np.ndarray  # shape (J,), argmin vehicle index per request point
-    min_dist: np.ndarray  # shape (J,), the minimised distance in metres
 
 
 @dataclass(frozen=True)
@@ -67,28 +52,12 @@ class DlcssResult:
     sm: float  # NO_OVERLAP when the matched span is a single point
 
 
-def nearest_assignment(a: Route, r: Route) -> DistanceMatrix:
-    """Phase one: map every request point to its closest vehicle point.
-
-    Ties go to the smallest vehicle index. Evaluates exactly
-    ``len(a) * len(r)`` point distances.
-    """
-    d = geo.pairwise_distances_m(a, r)
-    rows, dists = _column_minima(d)
-    return DistanceMatrix(rows=d.shape[0], cols=d.shape[1], min_row=rows, min_dist=dists)
-
-
-def _column_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a distance block: the argmin row and its distance."""
-    rows = np.argmin(d, axis=0)  # first occurrence wins, i.e. smallest i
-    return rows, d[rows, np.arange(d.shape[1])]
-
-
 def _walk(rows: list, dists: list, cols: list) -> list[DlcssSegment]:
     """Phase two over one request's set cells sorted by (row, distance, column).
 
     A row's first cell at a column >= the cursor is its shortest candidate
-    (ties: smallest column), and becomes a segment.
+    (ties: smallest column), and becomes a segment. The cursor moves to that
+    column, inclusive, so one request point may anchor consecutive rows.
     """
     segments, cursor, taken = [], 0, -1
     for i, d, j in zip(rows, dists, cols):
@@ -98,17 +67,35 @@ def _walk(rows: list, dists: list, cols: list) -> list[DlcssSegment]:
     return segments
 
 
-def select_segments(dm: DistanceMatrix) -> list[DlcssSegment]:
-    """Phase two: walk the vehicle route once, keeping temporal order along R.
+def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
+    """Both phases for vehicle ``a`` against each request, in request order.
 
-    For each vehicle point i in order, the candidates are the set cells of
-    row i at request indices j >= the cursor. The cursor starts at 0 and
-    moves to the chosen j (inclusive, so the same request point may anchor
-    segments of consecutive vehicle points). The shortest candidate wins,
-    ties going to the smallest j; rows with no candidate are skipped.
+    Phase one maps each request point to its closest vehicle point (ties:
+    smallest index) in column tiles over all requests; one stable sort by
+    (request, row, distance) then orders each request's phase two.
     """
-    order = np.lexsort((dm.min_dist, dm.min_row))  # stable: equal distances keep j order
-    return _walk(dm.min_row[order].tolist(), dm.min_dist[order].tolist(), order.tolist())
+    lens = [len(r.points) for r in requests]
+    total = sum(lens)
+    q = [np.concatenate(v) for v in zip(*((*r.trig, r.lats, r.lons) for r in requests))]
+    p = (*a.trig, a.lats, a.lons)
+    rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
+    width = max(1, TILE_CELLS // len(a.points))
+    for c0 in range(0, total, width):
+        tile = slice(c0, c0 + width)
+        d = geo.distance_block(p, [v[tile] for v in q])
+        rows[tile] = np.argmin(d, axis=0)  # first occurrence wins, i.e. smallest i
+        dists[tile] = d[rows[tile], np.arange(d.shape[1])]
+    request_of = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((dists, rows, request_of))  # stable: equal distances keep j order
+    starts = np.cumsum([0, *lens[:-1]])
+    rows_s, dists_s = rows[order].tolist(), dists[order].tolist()
+    cols_s = (order - starts[request_of]).tolist()  # j within its request's block
+
+    out, end = [], 0
+    for n in lens:
+        start, end = end, end + n
+        out.append(_walk(rows_s[start:end], dists_s[start:end], cols_s[start:end]))
+    return out
 
 
 def _score(l_a: float, l_sub_a: float, sum_m: float) -> float:
@@ -131,7 +118,7 @@ def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
 
 def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     """Run both phases and the score for a (vehicle, request) route pair."""
-    segments = select_segments(nearest_assignment(a, r))
+    segments = _segments(a, [r])[0]
     sum_ls = sum(s.distance_m for s in segments)
     l_a = geo.route_length(a)
     l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
@@ -145,34 +132,8 @@ def compute_dlcss(a: Route, r: Route) -> DlcssResult:
 
 
 def score_requests(a: Route, requests: Sequence[Route]) -> list[float]:
-    """sm of vehicle ``a`` against each request, equal to ``compute_dlcss(a, r).sm``.
-
-    Phase one runs over all requests' points in column tiles; one stable
-    sort by (request, row, distance) then orders each request's phase two.
-    """
-    if not requests:
-        return []
-    lens = [len(r.points) for r in requests]
-    total = sum(lens)
-    q = [np.concatenate(v) for v in zip(*((*r.trig, r.lats, r.lons) for r in requests))]
-    p = (*a.trig, a.lats, a.lons)
-    rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
-    width = max(1, TILE_CELLS // len(a.points))
-    for c0 in range(0, total, width):
-        tile = slice(c0, c0 + width)
-        rows[tile], dists[tile] = _column_minima(geo.distance_block(p, [v[tile] for v in q]))
-    request_of = np.repeat(np.arange(len(lens)), lens)
-    order = np.lexsort((dists, rows, request_of))  # stable: equal distances keep j order
-    starts = np.cumsum([0, *lens[:-1]])
-    rows_s, dists_s = rows[order].tolist(), dists[order].tolist()
-    cols_s = (order - starts[request_of]).tolist()  # j within its request's block
-
-    out, end = [], 0
-    for n in lens:
-        start, end = end, end + n
-        segments = _walk(rows_s[start:end], dists_s[start:end], cols_s[start:end])
-        out.append(similarity_metric(segments, a))
-    return out
+    """sm of vehicle ``a`` against each request, equal to ``compute_dlcss(a, r).sm``."""
+    return [similarity_metric(segments, a) for segments in _segments(a, requests)]
 
 
 def metric_sweep(

@@ -37,6 +37,11 @@ def score_pair(a: Route, r: Route) -> float:
     return score_requests(a, [r])[0]
 
 
+def _check_threshold(threshold: float) -> None:
+    if not threshold >= 0.0:  # written so that NaN fails it
+        raise DomainError(f"threshold must be non-negative, got {threshold}")
+
+
 def _decide(a: Route, requests: Sequence[Route], threshold: float) -> list[MatchDecision]:
     """Decisions for vehicle ``a`` against each request, in request order."""
     return [
@@ -63,8 +68,7 @@ def filter_pool(
     with jobs > 1 whole vehicles are spread over worker processes. A zero
     threshold accepts only exact-zero scores.
     """
-    if not threshold >= 0.0:
-        raise DomainError(f"threshold must be non-negative, got {threshold}")
+    _check_threshold(threshold)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     vehicles = sorted(vehicle_routes, key=lambda x: x.id)
@@ -92,6 +96,7 @@ def rank_candidates(
     Pairs without any usable overlap never rank; fewer than k decisions come
     back when the pool is small or mostly disjoint. Ties break on vehicle id.
     """
+    _check_threshold(threshold)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     decisions = [d for a in vehicle_routes for d in _decide(a, [request], threshold)]

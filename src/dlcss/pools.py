@@ -49,7 +49,7 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
     """
     if n < 1:
         raise DomainError(f"pool size must be >= 1, got {n}")
-    if min_length_m < 0.0:
+    if not min_length_m >= 0.0:  # written so that NaN fails it
         raise DomainError(f"min_length_m must be >= 0, got {min_length_m}")
     rng = random.Random(seed)
     routes: list[Route] = []

@@ -119,16 +119,12 @@ class GridGraph:
                     edges.append((u, u + 1))
                 if r + 1 < rows:
                     edges.append((u, u + cols))
-        g = cls(rows, cols, origin, spacing_m, edges, removal_fraction, seed)
+        keep = set(edges)
         target = round(removal_fraction * len(edges))
-        if target == 0:
-            return g
-        rng = random.Random(seed)
-        candidates = list(g.edges)
-        rng.shuffle(candidates)
+        # the seeded shuffle starts from sorted (u, v) order, which the loops build
+        random.Random(seed).shuffle(edges)
         removed = 0
-        keep = set(g.edges)
-        for cand in candidates:
+        for cand in edges:
             if removed == target:
                 break
             keep.discard(cand)

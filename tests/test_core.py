@@ -8,15 +8,14 @@ import pytest
 
 from dlcss import (
     Coordinate,
-    DistanceMatrix,
     DlcssSegment,
     DomainError,
     NO_OVERLAP,
     Route,
     compute_dlcss,
+    distance,
     metric_sweep,
-    nearest_assignment,
-    select_segments,
+    pairwise_distances_m,
     similarity_metric,
 )
 from dlcss import core
@@ -27,6 +26,26 @@ from test_geo import LAT_STEP_M, random_route
 
 def corridor(n, rid, lat=50.75, lon0=6.0, step=0.01):
     return Route(rid, tuple(Coordinate(lat, lon0 + step * k) for k in range(n)))
+
+
+def column_minima(a, r):
+    """Phase one by brute force: per request point, the argmin row and its distance."""
+    d = pairwise_distances_m(a, r)
+    rows = np.argmin(d, axis=0)
+    return rows.tolist(), d[rows, np.arange(d.shape[1])].tolist()
+
+
+def cells(res):
+    return [(s.distance_m, s.a_index, s.r_index) for s in res.segments]
+
+
+def test_package_exports_resolve():
+    import dlcss
+
+    assert [name for name in dlcss.__all__ if not hasattr(dlcss, name)] == []
+    namespace = {}
+    exec("from dlcss import *", namespace)
+    assert set(dlcss.__all__) <= namespace.keys()
 
 
 def test_identity_routes_score_zero():
@@ -42,19 +61,22 @@ def test_identity_routes_score_zero():
 
 
 def test_nearest_assignment_sets_one_cell_per_column():
+    # r[j] sits beside a[j], so every column's cell becomes a segment
+    a = corridor(6, "a")
+    r = Route("r", tuple(Coordinate(p.lat + 0.0005 * (k % 3 + 1), p.lon)
+                         for k, p in enumerate(a.points)))
+    rows, dists = column_minima(a, r)
+    assert rows == list(range(6))
+    assert cells(compute_dlcss(a, r)) == list(zip(dists, rows, range(6)))
+    # on random routes too, each segment is its column's minimum on the argmin row
     rng = random.Random(2)
-    a = random_route(rng, 9, "a")
-    r = random_route(rng, 7, "r")
-    dm = nearest_assignment(a, r)
-    assert (dm.rows, dm.cols) == (9, 7)
-    assert dm.min_row.shape == dm.min_dist.shape == (7,)
-    # each set cell is the column minimum with the argmin row
-    from dlcss import pairwise_distances_m
-
-    d = pairwise_distances_m(a, r)
-    for j in range(7):
-        assert dm.min_dist[j] == d[:, j].min()
-        assert dm.min_row[j] == int(np.argmin(d[:, j]))
+    for _ in range(30):
+        a = random_route(rng, rng.randint(2, 12), "a")
+        r = random_route(rng, rng.randint(2, 12), "r")
+        rows, dists = column_minima(a, r)
+        segs = cells(compute_dlcss(a, r))
+        assert len({j for _, _, j in segs}) == len(segs)
+        assert all((d, i) == (dists[j], rows[j]) for d, i, j in segs)
 
 
 def test_nearest_assignment_tie_prefers_smaller_vehicle_index():
@@ -62,16 +84,15 @@ def test_nearest_assignment_tie_prefers_smaller_vehicle_index():
     q = Coordinate(50.75, 6.1)
     a = Route("a", (p, p, q))  # duplicate vehicle point forces a tie
     r = Route("r", (Coordinate(50.751, 6.0), q))
-    dm = nearest_assignment(a, r)
-    assert int(dm.min_row[0]) == 0
+    assert [(s.a_index, s.r_index) for s in compute_dlcss(a, r).segments] == [(0, 0), (2, 1)]
 
 
 def test_set_cell_lies_on_argmin_row():
     a = Route("a", (Coordinate(50.75, 6.0), Coordinate(50.75, 6.01)))
     r = Route("r", (Coordinate(50.751, 6.0), Coordinate(50.751, 6.01)))
-    dm = nearest_assignment(a, r)
-    assert dm.min_row.tolist() == [0, 1]
-    assert dm.min_dist[0] > 0.0
+    segs = compute_dlcss(a, r).segments
+    assert [(s.a_index, s.r_index) for s in segs] == [(0, 0), (1, 1)]
+    assert segs[0].distance_m > 0.0
 
 
 def test_perpendicular_offset_segment_values():
@@ -87,31 +108,30 @@ def test_perpendicular_offset_segment_values():
 
 
 def test_single_set_cell_yields_single_segment():
-    dm = DistanceMatrix(
-        rows=4, cols=1, min_row=np.array([2]), min_dist=np.array([5.0])
-    )
-    assert select_segments(dm) == [DlcssSegment(5.0, 2, 0)]
+    # both request points sit beside a[2], r[0] the closer: row 2's cell at j=0 wins
+    a = corridor(4, "a")
+    p = a.points[2]
+    r = Route("r", (Coordinate(p.lat + 0.0001, p.lon), Coordinate(p.lat + 0.0002, p.lon)))
+    res = compute_dlcss(a, r)
+    assert cells(res) == [(distance(p, r.points[0]), 2, 0)]
+    assert res.sm == NO_OVERLAP
 
 
 def test_phase_two_tie_prefers_smaller_request_index():
     z = Coordinate(50.751, 6.0)
     a = Route("a", (Coordinate(50.75, 6.0), Coordinate(50.75, 6.2)))
     r = Route("r", (z, z))  # both request points tie on row 0
-    segs = select_segments(nearest_assignment(a, r))
+    segs = compute_dlcss(a, r).segments
     assert len(segs) == 1
     assert segs[0].r_index == 0
 
 
 def test_rows_behind_cursor_are_skipped():
-    # row 0 consumes j=1, moving the cursor past row 1's only candidate
-    dm = DistanceMatrix(
-        rows=2,
-        cols=2,
-        min_row=np.array([1, 0]),  # j=0 -> row 1, j=1 -> row 0
-        min_dist=np.array([3.0, 4.0]),
-    )
-    segs = select_segments(dm)
-    assert [(s.a_index, s.r_index) for s in segs] == [(0, 1)]
+    # row 0 consumes j=1, moving the cursor past row 1's only candidate, j=0
+    a = corridor(2, "a")
+    r = Route("r", (Coordinate(50.751, 6.01), Coordinate(50.751, 6.0)))
+    assert column_minima(a, r)[0] == [1, 0]
+    assert [(s.a_index, s.r_index) for s in compute_dlcss(a, r).segments] == [(0, 1)]
 
 
 def test_temporal_order_on_random_pairs():
@@ -131,11 +151,10 @@ def test_per_row_minimality_replay():
     for _ in range(50):
         a = random_route(rng, rng.randint(2, 10), "a")
         r = random_route(rng, rng.randint(2, 10), "r")
-        dm = nearest_assignment(a, r)
-        segs = select_segments(dm)
+        segs = compute_dlcss(a, r).segments
         start_j = 0
         by_row = {}
-        for j, (i, v) in enumerate(zip(dm.min_row.tolist(), dm.min_dist.tolist())):
+        for j, (i, v) in enumerate(zip(*column_minima(a, r))):
             by_row.setdefault(i, []).append((j, v))
         for s in segs:
             candidates = [v for j, v in by_row[s.a_index] if j >= start_j]
@@ -216,19 +235,24 @@ def test_matches_reference_transliteration():
 
 def test_one_matrix_evaluation_per_compute(monkeypatch):
     calls = []
-    original = core.geo.pairwise_distances_m
+    original = core.geo.distance_block
 
-    def counting(a, r):
-        d = original(a, r)
+    def counting(p, q):
+        d = original(p, q)
         calls.append(d.shape)
         return d
 
-    monkeypatch.setattr(core.geo, "pairwise_distances_m", counting)
+    monkeypatch.setattr(core.geo, "distance_block", counting)
     rng = random.Random(7)
     a = random_route(rng, 8, "a")
     r = random_route(rng, 5, "r")
     compute_dlcss(a, r)
     assert calls == [(8, 5)]
+    # one block also when I * J fills the tile budget exactly
+    a = random_route(rng, 128, "a")
+    r = random_route(rng, core.TILE_CELLS // 128, "r")
+    compute_dlcss(a, r)
+    assert calls[1:] == [(128, core.TILE_CELLS // 128)]
 
 
 def test_metric_sweep_examples():

@@ -1,8 +1,9 @@
-"""The batched kernel: a vehicle against many requests, bit for bit.
+"""The matcher kernel against the brute-force reference, bit for bit.
 
-``core.score_requests`` must return exactly ``compute_dlcss(a, r).sm`` for
-every request, which in turn must equal the brute-force reference, for any
-phase-one tile width.
+For any phase-one tile width, ``core.score_requests`` (a vehicle against
+many requests) must return exactly the reference sm of every request, and
+``compute_dlcss`` (one pair through the same kernel) the reference segments
+and sm.
 """
 
 import random
@@ -63,13 +64,18 @@ def batches(draw):
 
 
 def assert_bit_equal(a, requests):
-    want = [reference_sm(reference_segments(a, r), a) for r in requests]
-    assert [compute_dlcss(a, r).sm for r in requests] == want
+    want_segments = [reference_segments(a, r) for r in requests]
+    want = [reference_sm(segments, a) for segments in want_segments]
     for budget in (core.TILE_CELLS, *SMALL_BUDGETS):
         with mock.patch.object(core, "TILE_CELLS", budget):
             got = core.score_requests(a, requests)
+            pairs = [compute_dlcss(a, r) for r in requests]
         assert got == want, budget
         assert all(type(sm) is float for sm in got)
+        assert [res.sm for res in pairs] == want, budget
+        assert [
+            [(s.distance_m, s.a_index, s.r_index) for s in res.segments] for res in pairs
+        ] == want_segments, budget
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -150,6 +150,13 @@ def test_rank_candidates_saturation_and_validation():
         rank_candidates(request, pool, k=0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+def test_rank_candidates_rejects_bad_threshold(threshold):
+    pool = small_pool(16, 2, "v")
+    with pytest.raises(DomainError, match="threshold"):
+        rank_candidates(pool[0], pool, k=1, threshold=threshold)
+
+
 def test_rank_candidates_all_no_overlap_empty():
     a = Route("a", (Coordinate(50.75, 6.0), Coordinate(50.75, 6.1)))
     r = Route("r", (Coordinate(50.76, 6.0), Coordinate(50.759, 6.0)))

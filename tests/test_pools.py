@@ -57,8 +57,9 @@ def test_generate_unattainable_min_length(intact_grid):
 def test_generate_validation(intact_grid):
     with pytest.raises(DomainError):
         generate_pool(intact_grid, n=0, seed=0)
-    with pytest.raises(DomainError):
-        generate_pool(intact_grid, n=1, seed=0, min_length_m=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="min_length_m must be"):
+            generate_pool(intact_grid, n=1, seed=0, min_length_m=bad)
 
 
 def test_generate_records_metadata(intact_grid):
