@@ -93,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", dest="threshold_m", type=float,
                    default=matching.DEFAULT_THRESHOLD_M,
                    help="acceptance threshold in meters (default: %(default)s)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scoring processes; output is identical for any value "
-                        "(default: %(default)s)")
     p.add_argument("--out", type=Path, default=Path("decisions.jsonl"),
                    help="JSON-lines decisions output (default: %(default)s)")
     p.set_defaults(func=cmd_match)
@@ -181,9 +178,7 @@ def _decision_line(d: matching.MatchDecision) -> str:
 def cmd_match(cfg: argparse.Namespace) -> int:
     vehicles = pools.read_geojson(cfg.pool)
     requests = vehicles if cfg.requests is None else pools.read_geojson(cfg.requests)
-    decisions = matching.filter_pool(
-        vehicles.routes, requests.routes, threshold=cfg.threshold_m, jobs=cfg.jobs
-    )
+    decisions = matching.filter_pool(vehicles.routes, requests.routes, threshold=cfg.threshold_m)
     with Path(cfg.out).open("w", encoding="utf-8") as fh:
         for d in decisions:
             fh.write(_decision_line(d) + "\n")

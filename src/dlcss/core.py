@@ -74,15 +74,16 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
     smallest index) in column tiles over all requests; one stable sort by
     (request, row, distance) then orders each request's phase two.
     """
+    if not requests:  # np.concatenate needs at least one array
+        return []
     lens = [len(r.points) for r in requests]
     total = sum(lens)
-    q = [np.concatenate(v) for v in zip(*((*r.trig, r.lats, r.lons) for r in requests))]
-    p = (*a.trig, a.lats, a.lons)
+    q = np.concatenate([r.point_array for r in requests], axis=1)
     rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
     width = max(1, TILE_CELLS // len(a.points))
     for c0 in range(0, total, width):
         tile = slice(c0, c0 + width)
-        d = geo.distance_block(p, [v[tile] for v in q])
+        d = geo.distance_block(a.point_array, q[:, tile])
         rows[tile] = np.argmin(d, axis=0)  # first occurrence wins, i.e. smallest i
         dists[tile] = d[rows[tile], np.arange(d.shape[1])]
     request_of = np.repeat(np.arange(len(lens)), lens)

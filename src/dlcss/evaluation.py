@@ -22,7 +22,7 @@ import numpy as np
 from . import core, routing
 from .errors import DomainError, ParseError
 from .geo import Route
-from .matching import DEFAULT_THRESHOLD_M
+from .matching import DEFAULT_THRESHOLD_M, _check_threshold
 from .pools import RoutePool
 from .routing import GridGraph
 
@@ -119,8 +119,7 @@ def calibrate_threshold(
     """
     if len(pool.routes) < 2:
         raise DomainError("calibration needs a pool with at least 2 routes")
-    if not default_m >= 0.0:
-        raise DomainError(f"default_m must be non-negative, got {default_m}")
+    _check_threshold(default_m, "default_m")
     routes = sorted(pool.routes, key=lambda r: r.id)
     compatible = routing.detour_fractions(g, routes) <= routing.DETOUR_LIMIT_FRACTION
     mask = compatible & _pairs(np.ones(len(routes), bool))
@@ -133,8 +132,7 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     A zero threshold is legal (it accepts only exact-zero scores); a
     duplicate-heavy pool calibrates to exactly that.
     """
-    if not threshold_m >= 0.0:
-        raise DomainError(f"threshold_m must be non-negative, got {threshold_m}")
+    _check_threshold(threshold_m, "threshold_m")
     routes = sorted(pool.routes, key=lambda r: r.id)
 
     t0 = time.perf_counter()
@@ -189,8 +187,7 @@ def cross_validated_eval(
     routes = sorted(pool.routes, key=lambda r: r.id)
     if folds < 2 or folds > len(routes) // 2:
         raise DomainError(f"folds must be in [2, n_routes/2], got {folds}")
-    if not default_m >= 0.0:
-        raise DomainError(f"default_m must be non-negative, got {default_m}")
+    _check_threshold(default_m, "default_m")
     order = list(range(len(routes)))
     random.Random(seed).shuffle(order)
     fold_of = np.empty(len(routes), dtype=int)
@@ -239,7 +236,7 @@ def read_report(path: str | Path) -> EvalReport:
     """Read a JSON report written by emit_report; diagnostics come back empty."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")

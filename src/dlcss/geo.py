@@ -79,19 +79,10 @@ class Route:
         object.__setattr__(self, "points", pts)
 
     @cached_property
-    def lats(self) -> np.ndarray:
-        return np.array([p.lat for p in self.points])
-
-    @cached_property
-    def lons(self) -> np.ndarray:
-        return np.array([p.lon for p in self.points])
-
-    @cached_property
-    def trig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-point (sin phi, cos phi, sin lam, cos lam) as float64 arrays."""
-        rows = [_point_trig(p.lat, p.lon) for p in self.points]
-        sphi, cphi, slam, clam = zip(*rows)
-        return np.array(sphi), np.array(cphi), np.array(slam), np.array(clam)
+    def point_array(self) -> np.ndarray:
+        """(6, n) float64 rows: sin phi, cos phi, sin lam, cos lam, lat, lon."""
+        rows = [(*_point_trig(p.lat, p.lon), p.lat, p.lon) for p in self.points]
+        return np.array(rows).T.copy()  # C-contiguous, so each row is one run
 
     @cached_property
     def leg_lengths_m(self) -> tuple[float, ...]:
@@ -113,7 +104,7 @@ def distance(a: Coordinate, b: Coordinate) -> float:
 def distance_block(p, q) -> np.ndarray:
     """Distances from point set ``p`` (rows) to ``q`` (columns), bit-equal to scalar calls.
 
-    A point set is six arrays: its ``Route.trig`` four, then lats and lons.
+    A point set is laid out as ``Route.point_array``, or column slices of it.
     """
     sphi1, cphi1, slam1, clam1, lat1, lon1 = (v[:, None] for v in p)
     sphi2, cphi2, slam2, clam2, lat2, lon2 = (v[None, :] for v in q)
@@ -128,7 +119,7 @@ def distance_block(p, q) -> np.ndarray:
 
 def pairwise_distances_m(a: Route, b: Route) -> np.ndarray:
     """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
-    return distance_block((*a.trig, a.lats, a.lons), (*b.trig, b.lats, b.lons))
+    return distance_block(a.point_array, b.point_array)
 
 
 def route_length(r: Route) -> float:

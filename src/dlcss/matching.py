@@ -1,6 +1,7 @@
 """Threshold filtering of route pools: which pairs merit a real routing check.
 
-Scoring every ordered (vehicle, request) pair is cheap; the expensive
+Scoring every ordered (vehicle, request) pair is cheap: one kernel call per
+vehicle scores all its requests in the calling process. The expensive
 routing-based verification only needs to run for pairs that survive the
 threshold. The default threshold is deliberately cautious so that genuine
 matches are not filtered away.
@@ -9,9 +10,7 @@ matches are not filtered away.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from .core import score_requests
@@ -37,9 +36,14 @@ def score_pair(a: Route, r: Route) -> float:
     return score_requests(a, [r])[0]
 
 
-def _check_threshold(threshold: float) -> None:
+def _check_threshold(threshold: float, name: str = "threshold") -> None:
+    """Reject a negative or NaN threshold.
+
+    Zero is legal: it accepts only exact-zero scores, which is what a
+    duplicate-heavy pool calibrates to.
+    """
     if not threshold >= 0.0:  # written so that NaN fails it
-        raise DomainError(f"threshold must be non-negative, got {threshold}")
+        raise DomainError(f"{name} must be non-negative, got {threshold}")
 
 
 def _decide(a: Route, requests: Sequence[Route], threshold: float) -> list[MatchDecision]:
@@ -64,25 +68,16 @@ def filter_pool(
 ) -> list[MatchDecision]:
     """Score every ordered (vehicle, request) pair against the threshold.
 
-    Output is sorted by (a_id, r_id) and is identical for any ``jobs`` value;
-    with jobs > 1 whole vehicles are spread over worker processes. A zero
-    threshold accepts only exact-zero scores.
+    Output is sorted by (a_id, r_id). A zero threshold accepts only
+    exact-zero scores. ``jobs`` (>= 1) has no effect: scoring runs in the
+    calling process.
     """
     _check_threshold(threshold)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     vehicles = sorted(vehicle_routes, key=lambda x: x.id)
     requests = sorted(request_routes, key=lambda x: x.id)
-    if jobs == 1 or len(vehicles) < 2:
-        rows = [_decide(a, requests, threshold) for a in vehicles]
-    else:
-        # whole vehicles per task; a chunk pickles the shared request list once
-        chunk = -(-len(vehicles) // jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(_decide, vehicles, repeat(requests), repeat(threshold), chunksize=chunk)
-            )
-    return [d for row in rows for d in row]
+    return [d for a in vehicles for d in _decide(a, requests, threshold)]
 
 
 def rank_candidates(

@@ -10,6 +10,7 @@ routing engine can all serve.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -58,7 +59,8 @@ def evaluate_meeting_points(
     request's original destination. Returns the candidate with the lowest
     similarity score if that score is within the threshold, otherwise None.
     Ties break on the smallest candidate id. A route provider failure skips
-    the candidate (logged), it does not abort the search.
+    the candidate (logged), it does not abort the search. Unlike
+    ``filter_pool``, a zero threshold raises DomainError: it must be positive.
     """
     if not threshold_m > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold_m}")
@@ -85,24 +87,27 @@ def load_meeting_points(source: str | Path) -> list[MeetingPoint]:
     duplicate ids, malformed rows, or invalid coordinates.
     """
     path = Path(source)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames
-        if fields is None or not {"id", "lat", "lon"}.issubset(fields):
-            raise ParseError(f"{path}: header must contain id,lat,lon[,label]")
-        points: list[MeetingPoint] = []
-        seen: set[str] = set()
-        for row_no, row in enumerate(reader, start=2):
-            pid = (row.get("id") or "").strip()
-            if not pid:
-                raise ParseError(f"{path} row {row_no}: missing id")
-            if pid in seen:
-                raise ParseError(f"{path} row {row_no}: duplicate id {pid!r}")
-            try:
-                location = Coordinate(float(row["lat"]), float(row["lon"]))
-            except (DomainError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path} row {row_no}: {exc}") from exc
-            label = (row.get("label") or "").strip() or None
-            points.append(MeetingPoint(id=pid, location=location, label=label))
-            seen.add(pid)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    fields = reader.fieldnames
+    if fields is None or not {"id", "lat", "lon"}.issubset(fields):
+        raise ParseError(f"{path}: header must contain id,lat,lon[,label]")
+    points: list[MeetingPoint] = []
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=2):
+        pid = (row.get("id") or "").strip()
+        if not pid:
+            raise ParseError(f"{path} row {row_no}: missing id")
+        if pid in seen:
+            raise ParseError(f"{path} row {row_no}: duplicate id {pid!r}")
+        try:
+            location = Coordinate(float(row["lat"]), float(row["lon"]))
+        except (DomainError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path} row {row_no}: {exc}") from exc
+        label = (row.get("label") or "").strip() or None
+        points.append(MeetingPoint(id=pid, location=location, label=label))
+        seen.add(pid)
     return points

@@ -121,7 +121,7 @@ def read_geojson(path: str | Path) -> RoutePool:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: expected a GeoJSON FeatureCollection")
@@ -137,7 +137,7 @@ def read_geojson(path: str | Path) -> RoutePool:
         if not isinstance(coords, list) or len(coords) < 2:
             raise ParseError(f"feature {i}: LineString needs at least 2 coordinates")
         props = feat.get("properties") or {}
-        rid = props.get("id")
+        rid = props.get("id") if isinstance(props, dict) else None
         if not isinstance(rid, str) or not rid:
             raise ParseError(f"feature {i}: missing route id in properties.id")
         if not all(isinstance(pos, list) and len(pos) >= 2 for pos in coords):

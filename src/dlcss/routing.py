@@ -237,17 +237,17 @@ class GridGraph:
                 removal_fraction=float(doc.get("removal_fraction", 0.0)),
                 seed=int(doc.get("seed", 0)),
             )
+            stored = doc.get("nodes")
+            consistent = stored is None or len(stored) == g.num_nodes and all(
+                float(la) == g.node_lats[i] and float(lo) == g.node_lons[i]
+                for i, (la, lo) in enumerate(stored)
+            )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):
                 raise
             raise ParseError(f"malformed grid graph document: {exc}") from exc
-        stored = doc.get("nodes")
-        if stored is not None:
-            if len(stored) != g.num_nodes or any(
-                float(la) != g.node_lats[i] or float(lo) != g.node_lons[i]
-                for i, (la, lo) in enumerate(stored)
-            ):
-                raise ParseError("node list inconsistent with grid parameters")
+        if not consistent:
+            raise ParseError("node list inconsistent with grid parameters")
         return g
 
     def write_json(self, path: str | Path) -> None:
@@ -257,9 +257,12 @@ class GridGraph:
     def read_json(cls, path: str | Path) -> "GridGraph":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(doc)
+        try:
+            return cls.from_json_dict(doc)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridGraph):

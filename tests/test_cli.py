@@ -72,15 +72,6 @@ def test_match_zero_threshold(tmp_path):
     assert accepted and all(d["sm"] == 0.0 for d in accepted)
 
 
-def test_match_jobs_identical_output(tmp_path):
-    pool, _ = run_gen(tmp_path)
-    out1 = tmp_path / "seq.jsonl"
-    out2 = tmp_path / "par.jsonl"
-    assert main(["match", "--pool", str(pool), "--out", str(out1)]) == 0
-    assert main(["match", "--pool", str(pool), "--jobs", "3", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_match_pool_with_altitudes(tmp_path):
     pool, _ = run_gen(tmp_path)
     doc = json.loads(pool.read_text())
@@ -111,6 +102,39 @@ def test_match_garbage_pool_file(tmp_path):
     bad = tmp_path / "bad.geojson"
     bad.write_text("{nope")
     assert main(["match", "--pool", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["pool-properties", "pool-encoding", "graph-nodes-number", "graph-node-short", "points-encoding"],
+)
+def test_malformed_file_exits_2(tmp_path, capsys, case):
+    pool, graph = run_gen(tmp_path)
+    bad = tmp_path / "bad"
+    pool_doc, graph_doc = json.loads(pool.read_text()), json.loads(graph.read_text())
+    if case == "pool-properties":
+        pool_doc["features"][0]["properties"] = "r000"
+        bad.write_text(json.dumps(pool_doc))
+    elif case == "graph-nodes-number":
+        graph_doc["nodes"] = 5
+        bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-node-short":
+        graph_doc["nodes"][0] = [1]
+        bad.write_text(json.dumps(graph_doc))
+    else:
+        bad.write_bytes(b"\xff\xfeid,lat,lon\n")  # not UTF-8
+    args, where = {
+        "pool-properties": (["match", "--pool", str(bad)], "feature 0"),
+        "pool-encoding": (["match", "--pool", str(bad)], str(bad)),
+        "graph-nodes-number": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-node-short": (["eval", "--graph", str(bad)], str(bad)),
+        "points-encoding": (["meeting", *SMALL_GRID, "--pool", str(pool), "--vehicle", "r000",
+                             "--request", "r001", "--points", str(bad)], str(bad)),
+    }[case]
+    assert main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_calibrated_run(tmp_path):
@@ -276,6 +300,7 @@ def test_usage_errors_and_help():
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 1
     assert main(["match"]) == 1  # --pool is required
+    assert main(["match", "--pool", "p.geojson", "--jobs", "2"]) == 1  # no such flag
 
 
 def test_console_script_runs():
