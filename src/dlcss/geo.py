@@ -1,7 +1,7 @@
 """Geographic primitives: coordinates, haversine distance, polyline lengths.
 
 Bit-reproducibility note. Scoring pipelines compute distances two ways: one
-point pair at a time, and as a full pairwise matrix. Those two paths must
+point pair at a time, and many pairs at once as arrays. Those two paths must
 agree to the last bit or threshold decisions become shape-dependent. numpy's
 SIMD dispatch breaks that promise for transcendental ufuncs (the same input
 can round differently in a vectorized loop than in a scalar call), so the
@@ -9,7 +9,8 @@ haversine here is restructured: per-point sines and cosines come from
 math.sin / math.cos once per point, pairs are combined with IEEE-exact
 multiplies and adds only (identical in every lane), and the single remaining
 transcendental, arcsin, goes through np.arcsin in both the scalar and the
-matrix path.
+array path. The matcher's unit-vector dot products, a cheap proxy, only pick
+candidate pairs; this exact expression decides among them.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ class Route:
 
     @cached_property
     def leg_lengths_m(self) -> tuple[float, ...]:
-        return tuple(
-            distance(self.points[k], self.points[k + 1])
-            for k in range(len(self.points) - 1)
-        )
+        p = self.point_array
+        return tuple(distances(p[:, :-1], p[:, 1:]).tolist())
 
 
 def distance(a: Coordinate, b: Coordinate) -> float:
@@ -101,25 +100,19 @@ def distance(a: Coordinate, b: Coordinate) -> float:
     return float(_EARTH_DIAMETER_M * np.arcsin(math.sqrt(h)))
 
 
-def distance_block(p, q) -> np.ndarray:
-    """Distances from point set ``p`` (rows) to ``q`` (columns), bit-equal to scalar calls.
-
-    A point set is laid out as ``Route.point_array``, or column slices of it.
-    """
-    sphi1, cphi1, slam1, clam1, lat1, lon1 = (v[:, None] for v in p)
-    sphi2, cphi2, slam2, clam2, lat2, lon2 = (v[None, :] for v in q)
-    h = _haversine_h(sphi1, cphi1, slam1, clam1, sphi2, cphi2, slam2, clam2)
+def distances(p, q) -> np.ndarray:
+    """Elementwise distances between point sets laid out as ``Route.point_array`` (or
+    column selections or broadcast views of it), bit-equal to scalar calls."""
+    h = _haversine_h(*p[:4], *q[:4])
     np.clip(h, 0.0, 1.0, out=h)
     d = _EARTH_DIAMETER_M * np.arcsin(np.sqrt(h))
-    same = (lat1 == lat2) & (lon1 == lon2)
-    if same.any():
-        d[same] = 0.0
+    d[(p[4] == q[4]) & (p[5] == q[5])] = 0.0
     return d
 
 
 def pairwise_distances_m(a: Route, b: Route) -> np.ndarray:
     """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
-    return distance_block(a.point_array, b.point_array)
+    return distances(a.point_array[:, :, None], b.point_array[:, None, :])
 
 
 def route_length(r: Route) -> float:

@@ -142,6 +142,8 @@ def read_geojson(path: str | Path) -> RoutePool:
             raise ParseError(f"feature {i}: missing route id in properties.id")
         if not all(isinstance(pos, list) and len(pos) >= 2 for pos in coords):
             raise ParseError(f"feature {i}: every position needs at least [lon, lat]")
+        if not all(type(v) in (int, float) for pos in coords for v in pos[:2]):  # no bool
+            raise ParseError(f"feature {i}: longitude and latitude must be numbers")
         try:
             # an altitude (RFC 7946 section 3.1.1) is dropped
             points = [Coordinate(float(pos[1]), float(pos[0])) for pos in coords]

@@ -58,7 +58,7 @@ class GridGraph:
     ) -> None:
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise DomainError(f"grid needs at least 2 nodes, got {rows}x{cols}")
-        if spacing_m <= 0.0:
+        if not spacing_m > 0.0:  # written so that NaN fails it
             raise DomainError(f"spacing_m must be positive, got {spacing_m}")
         self.rows = rows
         self.cols = cols
@@ -170,7 +170,7 @@ class GridGraph:
         cached = self._source_dists.get(source)
         if cached is not None:
             return cached
-        dist = np.full(self.num_nodes, np.inf)
+        dist = [math.inf] * self.num_nodes  # a list: numpy indexing is slow per item
         dist[source] = 0.0
         heap: list[tuple[float, int]] = [(0.0, source)]
         while heap:
@@ -182,8 +182,8 @@ class GridGraph:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        self._source_dists[source] = dist
-        return dist
+        result = self._source_dists[source] = np.array(dist)
+        return result
 
     def path_nodes(self, source: int, destination: int) -> list[int]:
         """Shortest path as node indices; equal-cost ties break on smallest index.
@@ -228,14 +228,18 @@ class GridGraph:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GridGraph":
         try:
+            edges = [(u, v) for u, v in doc["edges"]]
+            ints = [doc["rows"], doc["cols"], doc.get("seed", 0), *(x for e in edges for x in e)]
+            if not all(type(x) is int for x in ints):  # JSON integers: no bool, 3.0 or 3.9
+                raise ParseError("rows, cols, seed and edge endpoints must be integers")
             g = cls(
-                rows=int(doc["rows"]),
-                cols=int(doc["cols"]),
+                rows=doc["rows"],
+                cols=doc["cols"],
                 origin=Coordinate(float(doc["origin"]["lat"]), float(doc["origin"]["lon"])),
                 spacing_m=float(doc["spacing_m"]),
-                edges=[(int(u), int(v)) for u, v in doc["edges"]],
+                edges=edges,
                 removal_fraction=float(doc.get("removal_fraction", 0.0)),
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
             )
             stored = doc.get("nodes")
             consistent = stored is None or len(stored) == g.num_nodes and all(

@@ -106,7 +106,8 @@ def test_match_garbage_pool_file(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["pool-properties", "pool-encoding", "graph-nodes-number", "graph-node-short", "points-encoding"],
+    ["pool-properties", "pool-encoding", "pool-bool-position", "graph-nodes-number",
+     "graph-node-short", "graph-edge-fraction", "graph-rows-fraction", "points-encoding"],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, case):
     pool, graph = run_gen(tmp_path)
@@ -115,6 +116,15 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     if case == "pool-properties":
         pool_doc["features"][0]["properties"] = "r000"
         bad.write_text(json.dumps(pool_doc))
+    elif case == "pool-bool-position":  # float(True) would read as 1.0
+        pool_doc["features"][0]["geometry"]["coordinates"] = [[True, False], [False, True]]
+        bad.write_text(json.dumps(pool_doc))
+    elif case == "graph-edge-fraction":  # int() would truncate it to edge (0, 1)
+        graph_doc["edges"][0] = [0.9, 1.7]
+        bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-rows-fraction":  # int() would truncate it to 8
+        graph_doc["rows"] = 8.9
+        bad.write_text(json.dumps(graph_doc))
     elif case == "graph-nodes-number":
         graph_doc["nodes"] = 5
         bad.write_text(json.dumps(graph_doc))
@@ -126,6 +136,9 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     args, where = {
         "pool-properties": (["match", "--pool", str(bad)], "feature 0"),
         "pool-encoding": (["match", "--pool", str(bad)], str(bad)),
+        "pool-bool-position": (["match", "--pool", str(bad)], "feature 0"),
+        "graph-edge-fraction": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-rows-fraction": (["eval", "--graph", str(bad)], str(bad)),
         "graph-nodes-number": (["eval", "--graph", str(bad)], str(bad)),
         "graph-node-short": (["eval", "--graph", str(bad)], str(bad)),
         "points-encoding": (["meeting", *SMALL_GRID, "--pool", str(pool), "--vehicle", "r000",

@@ -234,25 +234,29 @@ def test_matches_reference_transliteration():
 
 
 def test_one_matrix_evaluation_per_compute(monkeypatch):
+    """One phase-one tile per pair while I * J fits the budget; the exact
+    distance runs once per tile, on each column's one candidate here."""
     calls = []
-    original = core.geo.distance_block
+    original = core.geo.distances
 
     def counting(p, q):
         d = original(p, q)
         calls.append(d.shape)
         return d
 
-    monkeypatch.setattr(core.geo, "distance_block", counting)
     rng = random.Random(7)
     a = random_route(rng, 8, "a")
     r = random_route(rng, 5, "r")
+    big_a = random_route(rng, 128, "a")
+    big_r = random_route(rng, core.TILE_CELLS // 128, "r")
+    for route in (a, big_a):
+        route.leg_lengths_m  # cached legs: only phase one is counted below
+    monkeypatch.setattr(core.geo, "distances", counting)
     compute_dlcss(a, r)
-    assert calls == [(8, 5)]
+    assert calls == [(5,)]
     # one block also when I * J fills the tile budget exactly
-    a = random_route(rng, 128, "a")
-    r = random_route(rng, core.TILE_CELLS // 128, "r")
-    compute_dlcss(a, r)
-    assert calls[1:] == [(128, core.TILE_CELLS // 128)]
+    compute_dlcss(big_a, big_r)
+    assert calls[1:] == [(core.TILE_CELLS // 128,)]
 
 
 def test_metric_sweep_examples():

@@ -123,6 +123,22 @@ def test_arcsin_is_position_stable():
     assert np.array_equal(bulk, single)
 
 
+def test_leg_lengths_match_scalar_bitwise():
+    """The array legs equal one scalar distance call per leg, also for
+    identical consecutive points and points 1e-12 to 1e-5 degrees apart."""
+    rng = random.Random(29)
+    for k in range(6000):
+        pts = [Coordinate(rng.uniform(-80.0, 80.0), rng.uniform(-179.0, 179.0))]
+        for _ in range(rng.randint(1, 6)):
+            p, step = pts[-1], rng.choice([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 0.01, 1.0])
+            du, dv = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            pts.append(Coordinate(p.lat + step * du, p.lon + step * dv))
+        r = Route(f"r{k}", pts)
+        legs = r.leg_lengths_m
+        assert all(type(x) is float for x in legs)
+        assert legs == tuple(distance(a, b) for a, b in zip(pts, pts[1:]))
+
+
 def test_route_needs_two_points():
     with pytest.raises(DomainError):
         Route("short", (Coordinate(50.0, 6.0),))

@@ -12,7 +12,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from dlcss import NO_OVERLAP, Coordinate, Route, compute_dlcss, filter_pool
-from dlcss import core
+from dlcss import core, geo
 
 from reference import reference_segments, reference_sm
 from test_geo import random_route
@@ -102,6 +102,37 @@ def test_kernel_covers_identity_and_no_overlap():
 def test_kernel_without_requests():
     a = Route("a", [Coordinate(LAT0, LON0), Coordinate(LAT0, LON0 + STEP)])
     assert core.score_requests(a, []) == []
+
+
+def _h(p, q):
+    return geo._haversine_h(*geo._point_trig(p.lat, p.lon), *geo._point_trig(q.lat, q.lon))
+
+
+def test_band_keeps_smallest_row_among_clipped_ties():
+    """Rows 0 and 1 sit 1e-8 degrees west and east of the request point.
+    Both computed h are negative, so both d clip to 0.0: row 0 wins, though
+    an argmin on h would pick row 1."""
+    lat, lon = 50.753096, 6.0884945
+    r = Route("r", [Coordinate(lat, lon)] * 2)
+    a = Route("a", [Coordinate(lat, lon - 1e-8), Coordinate(lat, lon + 1e-8)])
+    h0, h1 = _h(a.points[0], r.points[0]), _h(a.points[1], r.points[0])
+    assert h1 < h0 < 0.0
+    assert [(s.distance_m, s.a_index, s.r_index) for s in compute_dlcss(a, r).segments] == [
+        (0.0, 0, 0)
+    ]
+    assert_bit_equal(a, [r])
+
+
+def test_band_keeps_same_point_whose_h_is_not_zero():
+    """The same-point cell (row 1) has h = 7.8e-17 and d = 0 by the mask;
+    row 0, 1e-8 degrees away, has a smaller h but a positive d."""
+    x = Coordinate(50.7564247, 6.0898036)
+    a = Route("a", [Coordinate(x.lat, 6.08980361), x])
+    r = Route("r", [x, x])
+    assert 0.0 < _h(a.points[0], x) < _h(x, x)
+    res = compute_dlcss(a, r)
+    assert [(s.distance_m, s.a_index, s.r_index) for s in res.segments] == [(0.0, 1, 0)]
+    assert_bit_equal(a, [r])
 
 
 def lattice_route(rng, rid):

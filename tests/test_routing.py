@@ -41,6 +41,11 @@ def test_build_validation():
         GridGraph.build(removal_fraction=-0.1)
 
 
+def test_nan_spacing_is_rejected_as_spacing():
+    with pytest.raises(DomainError, match="spacing_m must be positive"):
+        GridGraph.build(rows=3, cols=3, spacing_m=float("nan"))
+
+
 def test_build_is_reproducible():
     g1 = GridGraph.build(rows=8, cols=8, removal_fraction=0.15, seed=42)
     g2 = GridGraph.build(rows=8, cols=8, removal_fraction=0.15, seed=42)
