@@ -30,7 +30,6 @@ from .geo import (
     Route,
     arc_length_between,
     distance,
-    pairwise_distances_m,
     route_length,
 )
 from .matching import (
@@ -79,7 +78,6 @@ __all__ = [
     "GenerationError",
     "ParseError",
     "distance",
-    "pairwise_distances_m",
     "route_length",
     "arc_length_between",
     "similarity_metric",

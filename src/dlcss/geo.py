@@ -110,11 +110,6 @@ def distances(p, q) -> np.ndarray:
     return d
 
 
-def pairwise_distances_m(a: Route, b: Route) -> np.ndarray:
-    """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
-    return distances(a.point_array[:, :, None], b.point_array[:, None, :])
-
-
 def route_length(r: Route) -> float:
     """Polyline length: sum of consecutive-point distances, in meters."""
     return sum(r.leg_lengths_m, 0.0)

@@ -37,13 +37,13 @@ def score_pair(a: Route, r: Route) -> float:
 
 
 def _check_threshold(threshold: float, name: str = "threshold") -> None:
-    """Reject a negative or NaN threshold.
+    """Reject a negative, infinite or NaN threshold.
 
     Zero is legal: it accepts only exact-zero scores, which is what a
-    duplicate-heavy pool calibrates to.
+    duplicate-heavy pool calibrates to. Infinity is not: JSON has no such number.
     """
-    if not threshold >= 0.0:  # written so that NaN fails it
-        raise DomainError(f"{name} must be non-negative, got {threshold}")
+    if not 0.0 <= threshold < math.inf:  # written so that NaN fails it
+        raise DomainError(f"{name} must be non-negative and finite, got {threshold}")
 
 
 def _decide(a: Route, requests: Sequence[Route], threshold: float) -> list[MatchDecision]:
@@ -64,17 +64,13 @@ def filter_pool(
     vehicle_routes: Sequence[Route],
     request_routes: Sequence[Route],
     threshold: float = DEFAULT_THRESHOLD_M,
-    jobs: int = 1,
 ) -> list[MatchDecision]:
     """Score every ordered (vehicle, request) pair against the threshold.
 
     Output is sorted by (a_id, r_id). A zero threshold accepts only
-    exact-zero scores. ``jobs`` (>= 1) has no effect: scoring runs in the
-    calling process.
+    exact-zero scores.
     """
     _check_threshold(threshold)
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     vehicles = sorted(vehicle_routes, key=lambda x: x.id)
     requests = sorted(request_routes, key=lambda x: x.id)
     return [d for a in vehicles for d in _decide(a, requests, threshold)]

@@ -60,10 +60,10 @@ def evaluate_meeting_points(
     similarity score if that score is within the threshold, otherwise None.
     Ties break on the smallest candidate id. A route provider failure skips
     the candidate (logged), it does not abort the search. Unlike
-    ``filter_pool``, a zero threshold raises DomainError: it must be positive.
+    ``filter_pool``, a zero threshold raises DomainError: it must be positive and finite.
     """
-    if not threshold_m > 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold_m}")
+    if not 0.0 < threshold_m < math.inf:  # written so that NaN fails it
+        raise DomainError(f"threshold must be positive and finite, got {threshold_m}")
     destination = r.points[-1]
     trials: list[tuple[str, Route]] = []
     for m in candidates:

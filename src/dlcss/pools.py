@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import geo, routing
-from .errors import DomainError, GenerationError, NoRouteError, ParseError
+from . import geo
+from .errors import DomainError, GenerationError, ParseError
 from .geo import COORD_DECIMALS, Coordinate, Route
 from .routing import GridGraph
 
@@ -59,12 +59,9 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
             v = rng.randrange(g.num_nodes)
             if u == v:
                 continue
-            try:
-                sp = routing.shortest_route(g, g.node(u), g.node(v))
-            except NoRouteError:  # unreachable on a connected graph, kept defensive
-                continue
-            if geo.route_length(sp) >= min_length_m:
-                routes.append(Route(id=f"r{k:03d}", points=sp.points))
+            route = Route(f"r{k:03d}", [g.node(i) for i in g.path_nodes(u, v)])
+            if geo.route_length(route) >= min_length_m:
+                routes.append(route)
                 break
         else:
             raise GenerationError(
@@ -75,14 +72,7 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
         "seed": seed,
         "n": n,
         "min_length_m": min_length_m,
-        "grid": {
-            "rows": g.rows,
-            "cols": g.cols,
-            "origin": {"lat": g.origin.lat, "lon": g.origin.lon},
-            "spacing_m": g.spacing_m,
-            "removal_fraction": g.removal_fraction,
-            "seed": g.seed,
-        },
+        "grid": g.parameters(),
     }
     return RoutePool(routes=routes, metadata=metadata)
 

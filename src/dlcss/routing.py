@@ -213,7 +213,8 @@ class GridGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def parameters(self) -> dict:
+        """The construction parameters, in the key order written to files."""
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -221,6 +222,11 @@ class GridGraph:
             "spacing_m": self.spacing_m,
             "removal_fraction": self.removal_fraction,
             "seed": self.seed,
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self.parameters(),
             "nodes": [[float(la), float(lo)] for la, lo in zip(self.node_lats, self.node_lons)],
             "edges": [[u, v] for u, v in self.edges],
         }
@@ -232,13 +238,17 @@ class GridGraph:
             ints = [doc["rows"], doc["cols"], doc.get("seed", 0), *(x for e in edges for x in e)]
             if not all(type(x) is int for x in ints):  # JSON integers: no bool, 3.0 or 3.9
                 raise ParseError("rows, cols, seed and edge endpoints must be integers")
+            lat, lon = doc["origin"]["lat"], doc["origin"]["lon"]
+            spacing, removal = doc["spacing_m"], doc.get("removal_fraction", 0.0)
+            if not all(type(x) in (int, float) for x in (lat, lon, spacing, removal)):  # no bool
+                raise ParseError("origin, spacing_m and removal_fraction must be numbers")
             g = cls(
                 rows=doc["rows"],
                 cols=doc["cols"],
-                origin=Coordinate(float(doc["origin"]["lat"]), float(doc["origin"]["lon"])),
-                spacing_m=float(doc["spacing_m"]),
+                origin=Coordinate(float(lat), float(lon)),
+                spacing_m=float(spacing),
                 edges=edges,
-                removal_fraction=float(doc.get("removal_fraction", 0.0)),
+                removal_fraction=float(removal),
                 seed=doc.get("seed", 0),
             )
             stored = doc.get("nodes")
@@ -325,12 +335,6 @@ def shortest_route(g: GridGraph, origin: Coordinate, destination: Coordinate) ->
     return Route(id=f"sp-{u}-{v}", points=[g.node(i) for i in nodes])
 
 
-def _leg_length(g: GridGraph, u: int, v: int) -> float:
-    if u == v:
-        return 0.0
-    return float(g.source_distances(u)[v])
-
-
 def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:
     """Exact detour verdict for vehicle route ``a`` picking up request ``r``.
 
@@ -338,47 +342,42 @@ def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:
     shortest path on the grid. Unroutable endpoints (outside the grid) give
     an incompatible verdict with a diagnostic instead of raising.
     """
-    l_a = geo.route_length(a)
     try:
-        a0 = g.snap(a.points[0])
-        a1 = g.snap(a.points[-1])
-        r0 = g.snap(r.points[0])
-        r1 = g.snap(r.points[-1])
+        for p in (a.points[0], a.points[-1], r.points[0], r.points[-1]):
+            g.snap(p)
     except DomainError as exc:
         return OracleAssessment(
             detour_m=math.inf, detour_fraction=math.inf, compatible=False, diagnostic=str(exc)
         )
-    shared = _leg_length(g, a0, r0) + _leg_length(g, r0, r1) + _leg_length(g, r1, a1)
-    detour = max(0.0, shared - l_a)
-    if l_a == 0.0:
-        return OracleAssessment(
-            detour_m=detour,
-            detour_fraction=math.inf,
-            compatible=False,
-            diagnostic="vehicle route has zero length",
-        )
-    fraction = detour / l_a
+    detour, fraction = (float(m[0, 1]) for m in _detours(g, [a, r]))
     return OracleAssessment(
         detour_m=detour,
         detour_fraction=fraction,
         compatible=fraction <= DETOUR_LIMIT_FRACTION,
+        diagnostic="vehicle route has zero length" if math.isinf(fraction) else None,
     )
 
 
 def detour_fractions(g: GridGraph, routes: Sequence[Route]) -> np.ndarray:
-    """Matrix of ``assess_shared_ride(g, routes[i], routes[j]).detour_fraction``, bit for bit.
+    """Matrix of ``assess_shared_ride(g, routes[i], routes[j]).detour_fraction``."""
+    return _detours(g, routes)[1]
 
-    Rows are vehicles, columns requests. Each endpoint is snapped once and the
-    three legs are gathered from the memoized Dijkstra rows of the snapped
-    sources, added in the same order as in the single-pair oracle.
+
+def _detours(g: GridGraph, routes: Sequence[Route]) -> tuple[np.ndarray, np.ndarray]:
+    """Detour matrices in metres and as fractions of the vehicle route's length.
+
+    Rows are vehicles, columns requests. Each endpoint is snapped once and
+    the three legs are gathered from the memoized Dijkstra rows of the
+    snapped sources.
     """
+    detours = np.full((len(routes), len(routes)), math.inf)
     fractions = np.full((len(routes), len(routes)), math.inf)
     ends: dict[int, tuple[int, int]] = {}
     for i, r in enumerate(routes):
         with contextlib.suppress(DomainError):  # unsnappable: the row and column stay inf
             ends[i] = g.snap(r.points[0]), g.snap(r.points[-1])
     if not ends:
-        return fractions
+        return detours, fractions
     ok = list(ends)
     starts, stops = ([ends[i][k] for i in ok] for k in (0, 1))
     start_rows = [g.source_distances(u) for u in starts]
@@ -386,8 +385,10 @@ def detour_fractions(g: GridGraph, routes: Sequence[Route]) -> np.ndarray:
     ride = np.array([row[v] for row, v in zip(start_rows, stops)])
     to_vehicle_end = np.array([g.source_distances(v)[stops] for v in stops]).T
     l_a = np.array([[geo.route_length(routes[i])] for i in ok])
+    detour = np.maximum(0.0, to_pickup + ride + to_vehicle_end - l_a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fraction = np.maximum(0.0, to_pickup + ride + to_vehicle_end - l_a) / l_a
+        fraction = detour / l_a
     fraction[l_a[:, 0] == 0.0] = math.inf  # zero-length vehicle
+    detours[np.ix_(ok, ok)] = detour
     fractions[np.ix_(ok, ok)] = fraction
-    return fractions
+    return detours, fractions

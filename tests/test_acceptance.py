@@ -199,7 +199,7 @@ def test_runtime_budgets():
 
     routes = [random_route(rng, rng.randint(45, 55), f"p{k:03d}") for k in range(180)]
     t0 = time.perf_counter()
-    decisions = filter_pool(routes, routes, jobs=1)
+    decisions = filter_pool(routes, routes)
     bulk = time.perf_counter() - t0
     assert len(decisions) == 180 * 180
     assert bulk < 30.0, f"pool filtering took {bulk:.1f}s"

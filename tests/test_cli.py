@@ -107,7 +107,8 @@ def test_match_garbage_pool_file(tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["pool-properties", "pool-encoding", "pool-bool-position", "graph-nodes-number",
-     "graph-node-short", "graph-edge-fraction", "graph-rows-fraction", "points-encoding"],
+     "graph-node-short", "graph-edge-fraction", "graph-rows-fraction", "graph-spacing-string",
+     "graph-origin-string", "graph-removal-bool", "points-encoding"],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, case):
     pool, graph = run_gen(tmp_path)
@@ -125,6 +126,15 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     elif case == "graph-rows-fraction":  # int() would truncate it to 8
         graph_doc["rows"] = 8.9
         bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-spacing-string":  # float() would read it as 250.0
+        graph_doc["spacing_m"] = str(graph_doc["spacing_m"])
+        bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-origin-string":
+        graph_doc["origin"]["lat"] = str(graph_doc["origin"]["lat"])
+        bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-removal-bool":  # float(True) would read as 1.0
+        graph_doc["removal_fraction"] = True
+        bad.write_text(json.dumps(graph_doc))
     elif case == "graph-nodes-number":
         graph_doc["nodes"] = 5
         bad.write_text(json.dumps(graph_doc))
@@ -139,6 +149,9 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
         "pool-bool-position": (["match", "--pool", str(bad)], "feature 0"),
         "graph-edge-fraction": (["eval", "--graph", str(bad)], str(bad)),
         "graph-rows-fraction": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-spacing-string": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-origin-string": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-removal-bool": (["eval", "--graph", str(bad)], str(bad)),
         "graph-nodes-number": (["eval", "--graph", str(bad)], str(bad)),
         "graph-node-short": (["eval", "--graph", str(bad)], str(bad)),
         "points-encoding": (["meeting", *SMALL_GRID, "--pool", str(pool), "--vehicle", "r000",
@@ -305,8 +318,9 @@ def test_nan_threshold_exits_1(tmp_path, intact_grid, command):
         args = ["meeting", "--rows", "12", "--cols", "12", "--removal-fraction", "0",
                 "--pool", str(pool_path), "--vehicle", a.id, "--request", r.id,
                 "--points", str(points_path)]
-    assert main(args + ["--threshold", "nan"] + out) == 1
-    assert not (tmp_path / "out").exists()
+    for value in ("nan", "inf"):  # JSON has neither
+        assert main(args + ["--threshold", value] + out) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_and_help():

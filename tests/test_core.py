@@ -15,13 +15,12 @@ from dlcss import (
     compute_dlcss,
     distance,
     metric_sweep,
-    pairwise_distances_m,
     similarity_metric,
 )
 from dlcss import core
 
 from reference import reference_segments, reference_sm
-from test_geo import LAT_STEP_M, random_route
+from test_geo import LAT_STEP_M, pairwise_distances_m, random_route
 
 
 def corridor(n, rid, lat=50.75, lon0=6.0, step=0.01):

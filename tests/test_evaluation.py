@@ -198,20 +198,21 @@ def test_cross_validation_equals_fold_by_fold_runs(request, grid, n, folds, seed
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g, pool: run_eval(pool, g, threshold_m=math.nan),
-        lambda g, pool: calibrate_threshold(pool, g, default_m=math.nan),
-        lambda g, pool: cross_validated_eval(pool, g, folds=2, default_m=math.nan),
-        lambda g, pool: filter_pool(pool.routes, pool.routes, threshold=math.nan),
-        lambda g, pool: evaluate_meeting_points(
-            pool.routes[0], pool.routes[1], [], lambda o, d: None, threshold_m=math.nan
+        lambda g, pool, x: run_eval(pool, g, threshold_m=x),
+        lambda g, pool, x: calibrate_threshold(pool, g, default_m=x),
+        lambda g, pool, x: cross_validated_eval(pool, g, folds=2, default_m=x),
+        lambda g, pool, x: filter_pool(pool.routes, pool.routes, threshold=x),
+        lambda g, pool, x: evaluate_meeting_points(
+            pool.routes[0], pool.routes[1], [], lambda o, d: None, threshold_m=x
         ),
     ],
     ids=["run_eval", "calibrate_threshold", "cross_validated_eval", "filter_pool",
          "evaluate_meeting_points"],
 )
 def test_nan_threshold_rejected(intact_grid, mini_pool, call):
-    with pytest.raises(DomainError):
-        call(intact_grid, mini_pool)
+    for value in (math.nan, math.inf):  # JSON has neither
+        with pytest.raises(DomainError):
+            call(intact_grid, mini_pool, value)
 
 
 def test_json_report_round_trip(tmp_path, intact_grid, mini_pool):

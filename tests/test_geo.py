@@ -13,12 +13,17 @@ from dlcss import (
     Route,
     arc_length_between,
     distance,
-    pairwise_distances_m,
     route_length,
 )
+from dlcss import geo
 
 # 1e-3 degrees of latitude, frozen from this implementation.
 LAT_STEP_M = 111.19489024324562
+
+
+def pairwise_distances_m(a, b):
+    """Matrix of distance(a.points[i], b.points[j]), bit-equal to scalar calls."""
+    return geo.distances(a.point_array[:, :, None], b.point_array[:, None, :])
 
 
 def random_route(rng, n, rid="r"):

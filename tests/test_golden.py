@@ -1,0 +1,66 @@
+"""Frozen output bytes: sha256 digests of CLI output files for fixed flags and seeds.
+
+Pool generation, matching, calibration, evaluation and every report format
+are deterministic, so a change that claims to leave results alone must leave
+these digests equal. They were recorded once from a known-good build; a
+change that alters output on purpose records new ones and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from dlcss.cli import main
+
+GEN_DIGESTS = {
+    "pool.geojson": "d9925daade8a34902b782bba0aa57cf5acbe0011bf44731ee143cdfbd6c42f78",
+    "graph.json": "20745480552d00e9962948b853ffa4edb9a55efdfc1eeb12ad6a38aae5223545",
+    "decisions.jsonl": "1c426cc5bd84bce02e5f34d742d2947d54e895fae2e53e7d01fbaddeda268baa",
+}
+
+# (seed, format) -> digest of `dlcss eval --n 100 --seed S --calibrate --format F`
+CALIBRATED_EVAL_DIGESTS = {
+    (0, "json"): "179279a1ad57acf6cfd74482be72cb9c2ae7647047eb764df1318fdd4a9e293a",
+    (0, "csv"): "c9681f34190880c4333b1b8d14890b845d8fb38bf9e3744fbccb522540608a83",
+    (0, "plot-data"): "ead81b6c5d77f42c85d9d491c33e6d8953bd16b4d03da875a8fcb36c30036bd1",
+    (1, "json"): "efd1f4ed2379f3a55844f83b8a6beeb9795c4262a8bb910482ce16959e1e95b3",
+    (1, "csv"): "75bb80d713d22572934aef0931bdbddd984fa18c9b52928432a6d368e65e8f06",
+    (1, "plot-data"): "ce0c263318f33625a4978606c06190b0a58756558000315927532a653bc72c26",
+}
+
+CROSS_VALIDATED_DIGEST = "f6014b1d76dbd43b933f4c6eb4936aa42d5815475ba0d93df0c4f0dca1e7fbae"
+
+
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(args)) == 0
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_gen_and_match_bytes(tmp_path):
+    pool, graph, decisions = (tmp_path / name for name in GEN_DIGESTS)
+    run("gen", "--n", "60", "--seed", "3", "--out", str(pool), "--graph-out", str(graph))
+    run("match", "--pool", str(pool), "--out", str(decisions))
+    assert {name: sha256(tmp_path / name) for name in GEN_DIGESTS} == GEN_DIGESTS
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_calibrated_eval_bytes(tmp_path, seed):
+    digests = {}
+    for fmt in ("json", "csv", "plot-data"):
+        out = tmp_path / f"report.{fmt}"
+        run("eval", "--n", "100", "--seed", str(seed), "--calibrate", "--format", fmt,
+            "--out", str(out))
+        digests[seed, fmt] = sha256(out)
+    assert digests == {k: v for k, v in CALIBRATED_EVAL_DIGESTS.items() if k[0] == seed}
+
+
+def test_cross_validated_eval_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    run("eval", "--seed", "0", "--cross-validate", "5", "--out", str(out))
+    assert sha256(out) == CROSS_VALIDATED_DIGEST

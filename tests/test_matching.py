@@ -77,8 +77,6 @@ def test_filter_pool_validation():
     pool = small_pool(5, 2, "p")
     with pytest.raises(DomainError):
         filter_pool(pool, pool, threshold=-5.0)
-    with pytest.raises(DomainError):
-        filter_pool(pool, pool, jobs=0)
 
 
 def test_zero_threshold_accepts_only_exact_zero():
@@ -115,12 +113,6 @@ def test_no_overlap_never_accepted():
     assert not decisions[0].accepted
 
 
-def test_parallel_jobs_identical_output():
-    vehicles = small_pool(9, 4, "v")
-    requests = small_pool(10, 4, "r")
-    assert filter_pool(vehicles, requests, jobs=2) == filter_pool(vehicles, requests)
-
-
 def test_rank_candidates_identity_first():
     pool = small_pool(11, 5, "v")
     request = pool[3]
@@ -150,7 +142,7 @@ def test_rank_candidates_saturation_and_validation():
         rank_candidates(request, pool, k=0)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
 def test_rank_candidates_rejects_bad_threshold(threshold):
     pool = small_pool(16, 2, "v")
     with pytest.raises(DomainError, match="threshold"):

@@ -233,20 +233,41 @@ def test_zero_length_vehicle_is_diagnosed(intact_grid):
 
 
 def test_detour_fractions_equal_single_pair_oracle(intact_grid):
+    """The array oracle and every single-pair field equal a scalar leg sum."""
     g = intact_grid
     p = Coordinate(50.76, 6.1)
     routes = list(generate_pool(g, n=10, seed=4).routes) + [
         Route("off-grid", (Coordinate(50.76, 6.1), Coordinate(40.0, 6.09))),
         Route("stub", (p, p)),
+        Route("out-and-back", (g.node(0), g.node(143), g.node(1))),  # shared < l_a
     ]
     random.Random(0).shuffle(routes)
+    ends = {}
+    for r in routes:
+        try:
+            ends[r.id] = g.snap(r.points[0]), g.snap(r.points[-1])
+        except DomainError:
+            pass
     fractions = detour_fractions(g, routes)
     assert fractions.shape == (len(routes), len(routes))
     for i, a in enumerate(routes):
         for j, r in enumerate(routes):
+            detour = fraction = math.inf
+            if a.id in ends and r.id in ends:
+                (a0, a1), (r0, r1) = ends[a.id], ends[r.id]
+                shared = (
+                    float(g.source_distances(a0)[r0])
+                    + float(g.source_distances(r0)[r1])
+                    + float(g.source_distances(r1)[a1])
+                )
+                l_a = route_length(a)
+                detour = max(0.0, shared - l_a)
+                fraction = detour / l_a if l_a > 0.0 else math.inf
             verdict = assess_shared_ride(g, a, r)
-            assert fractions[i, j] == verdict.detour_fraction, (a.id, r.id)
-            assert (fractions[i, j] <= DETOUR_LIMIT_FRACTION) == verdict.compatible
+            assert fractions[i, j] == fraction, (a.id, r.id)
+            assert (verdict.detour_m, verdict.detour_fraction) == (detour, fraction), (a.id, r.id)
+            assert verdict.compatible == (fraction <= DETOUR_LIMIT_FRACTION)
+            assert (verdict.diagnostic is None) == math.isfinite(fraction)
     stub = [r.id for r in routes].index("stub")
     assert np.isinf(fractions[stub]).all()
     assert np.isfinite(np.delete(fractions[:, stub], stub)).any()
