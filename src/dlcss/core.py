@@ -83,8 +83,9 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
     inside the absolute part. A row whose d does not exceed the best row's
     (equal after rounding, or an np.arcsin ulp) has an h at most a few ulp
     above it: the relative part. A same-point cell, d = 0 by the mask, has an
-    h and a proxy within a few eps of 0, and no proxy lies further below. One
-    stable sort by (request, row, distance) then orders each phase two.
+    h and a proxy within a few eps of 0, and no proxy lies further below. Only
+    columns with more than one cell in the band compare exact distances. A
+    stable order by (request, row, distance) then feeds each phase two.
     """
     if not requests:  # np.concatenate needs at least one array
         return []
@@ -103,17 +104,19 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
         best = dot[np.arange(len(cand)), cand]
         slack = 2.0 * (np.maximum(0.0, 0.5 * (1.0 - best)) * _BAND_REL + _BAND_ABS)
         band = dot >= (best - slack)[:, None]
-        if np.count_nonzero(band) == len(cand):  # each column's best is alone
-            d = geo.distances(p[:, cand], q[:, tile])
-        else:  # per column, the smallest d, then the smallest row
-            cols, rivals = np.nonzero(band)
-            d = geo.distances(p[:, rivals], q[:, c0 + cols])
-            order = np.lexsort((d, cols))  # stable: equal distances keep row order
+        d = geo.distances(p[:, cand], q[:, tile])
+        tied = np.flatnonzero(np.count_nonzero(band, axis=1) > 1)
+        if len(tied):  # per tied column, the smallest d, then the smallest row
+            cols, rivals = np.nonzero(band[tied])
+            d_tied = geo.distances(p[:, rivals], q[:, c0 + tied[cols]])
+            order = np.lexsort((d_tied, cols))  # stable: equal distances keep row order
             first = order[np.flatnonzero(np.diff(cols[order], prepend=-1))]
-            cand, d = rivals[first], d[first]
+            cand[tied], d[tied] = rivals[first], d_tied[first]
         rows[tile], dists[tile] = cand, d
+    # by (request, row, distance), ties in j order: two stable sorts, faster than a lexsort
+    by_dist = np.argsort(dists, kind="stable")
     request_of = np.repeat(np.arange(len(lens)), lens)
-    order = np.lexsort((dists, rows, request_of))  # stable: equal distances keep j order
+    order = by_dist[np.argsort((request_of * len(a.points) + rows)[by_dist], kind="stable")]
     starts = np.cumsum([0, *lens[:-1]])
     rows_s, dists_s = rows[order].tolist(), dists[order].tolist()
     cols_s = (order - starts[request_of]).tolist()  # j within its request's block

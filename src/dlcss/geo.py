@@ -93,10 +93,14 @@ class Route:
 
 def distance(a: Coordinate, b: Coordinate) -> float:
     """Great-circle distance in meters on a sphere of radius 6,371,000 m."""
+    return _distance(a, _point_trig(a.lat, a.lon), b, _point_trig(b.lat, b.lon))
+
+
+def _distance(a: Coordinate, trig_a: tuple, b: Coordinate, trig_b: tuple) -> float:
+    """``distance`` from the points' precomputed ``_point_trig`` tuples."""
     if a.lat == b.lat and a.lon == b.lon:
         return 0.0
-    h = _haversine_h(*_point_trig(a.lat, a.lon), *_point_trig(b.lat, b.lon))
-    h = min(max(h, 0.0), 1.0)
+    h = min(max(_haversine_h(*trig_a, *trig_b), 0.0), 1.0)
     return float(_EARTH_DIAMETER_M * np.arcsin(math.sqrt(h)))
 
 

@@ -59,7 +59,7 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
             v = rng.randrange(g.num_nodes)
             if u == v:
                 continue
-            route = Route(f"r{k:03d}", [g.node(i) for i in g.path_nodes(u, v)])
+            route = g.route(f"r{k:03d}", g.path_nodes(u, v))
             if geo.route_length(route) >= min_length_m:
                 routes.append(route)
                 break

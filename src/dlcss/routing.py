@@ -60,6 +60,7 @@ class GridGraph:
             raise DomainError(f"grid needs at least 2 nodes, got {rows}x{cols}")
         if not spacing_m > 0.0:  # written so that NaN fails it
             raise DomainError(f"spacing_m must be positive, got {spacing_m}")
+        _check_removal_fraction(removal_fraction)
         self.rows = rows
         self.cols = cols
         self.origin = origin
@@ -74,15 +75,28 @@ class GridGraph:
         r_idx, c_idx = np.divmod(np.arange(n), cols)
         self.node_lats = origin.lat + r_idx * self.dlat_deg
         self.node_lons = origin.lon + c_idx * self.dlon_deg
-        # validates the far corner stays on the globe
-        Coordinate(float(self.node_lats[-1]), float(self.node_lons[-1]))
+        # Per-node geometry, computed once: every Coordinate (which validates
+        # it), the (6, n) Route.point_array over all nodes, and its trig rows.
+        self._nodes = [
+            Coordinate(la, lo) for la, lo in zip(self.node_lats.tolist(), self.node_lons.tolist())
+        ]
+        self._table = Route("nodes", self._nodes).point_array
+        self._trig = list(zip(*self._table[:4].tolist()))
+        # half a unit of the written precision: edge nodes survive a GeoJSON round trip
+        eps = 0.5 * 10.0**-geo.COORD_DECIMALS
+        self._lat_range = (self._nodes[0].lat - eps, self._nodes[-1].lat + eps)
+        self._lon_range = (self._nodes[0].lon - eps, self._nodes[-1].lon + eps)
 
         self.edges = sorted((u, v) if u < v else (v, u) for u, v in edges)
         self._adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise DomainError(f"edge ({u}, {v}) invalid for {n} nodes")
-            w = geo.distance(self.node(u), self.node(v))
+            w = geo._distance(self._nodes[u], self._trig[u], self._nodes[v], self._trig[v])
+            if not w > 0.0:  # a zero-weight cycle would trap path_nodes
+                raise DomainError(
+                    f"edge ({u}, {v}) has length {w} m: spacing_m {spacing_m} is too small"
+                )
             self._adj[u].append((v, w))
             self._adj[v].append((u, w))
         for nbrs in self._adj:
@@ -109,8 +123,7 @@ class GridGraph:
         achieved removal count can fall short of the target on extreme
         fractions. Same seed, same parameters: identical edge set.
         """
-        if not 0.0 <= removal_fraction < 1.0:
-            raise DomainError(f"removal_fraction must be in [0, 1), got {removal_fraction}")
+        _check_removal_fraction(removal_fraction)
         edges = []
         for r in range(rows):
             for c in range(cols):
@@ -137,7 +150,7 @@ class GridGraph:
     # -- geometry ----------------------------------------------------------
 
     def node(self, index: int) -> Coordinate:
-        return Coordinate(float(self.node_lats[index]), float(self.node_lons[index]))
+        return self._nodes[index]
 
     @property
     def num_nodes(self) -> int:
@@ -145,23 +158,30 @@ class GridGraph:
 
     def snap(self, c: Coordinate) -> int:
         """Index of the nearest node; the coordinate must lie inside the grid bbox."""
-        # half a unit of the written precision: edge nodes survive a GeoJSON round trip
-        eps = 0.5 * 10.0**-geo.COORD_DECIMALS
-        if not (self.node_lats[0] - eps <= c.lat <= self.node_lats[-1] + eps):
+        if not (self._lat_range[0] <= c.lat <= self._lat_range[1]):
             raise DomainError(f"latitude {c.lat} outside grid bounding box")
-        if not (self.node_lons[0] - eps <= c.lon <= self.node_lons[-1] + eps):
+        if not (self._lon_range[0] <= c.lon <= self._lon_range[1]):
             raise DomainError(f"longitude {c.lon} outside grid bounding box")
         fr = (c.lat - self.origin.lat) / self.dlat_deg
         fc = (c.lon - self.origin.lon) / self.dlon_deg
+        trig = geo._point_trig(c.lat, c.lon)
         best: tuple[float, int] | None = None
-        for r in {_clip(math.floor(fr), self.rows), _clip(math.ceil(fr), self.rows)}:
-            for col in {_clip(math.floor(fc), self.cols), _clip(math.ceil(fc), self.cols)}:
+        cols = _cell_span(fc, self.cols)
+        for r in _cell_span(fr, self.rows):
+            for col in cols:
                 idx = r * self.cols + col
-                d = geo.distance(c, self.node(idx))
+                d = geo._distance(c, trig, self._nodes[idx], self._trig[idx])
                 if best is None or (d, idx) < best:
                     best = (d, idx)
         assert best is not None
         return best[1]
+
+    def route(self, route_id: str, nodes: list[int]) -> Route:
+        """The Route through ``nodes``, its point array gathered from the node table."""
+        route = Route(route_id, [self._nodes[i] for i in nodes])
+        # cached_property has no setter: this fills the cache Route.point_array reads
+        object.__setattr__(route, "point_array", self._table.take(nodes, axis=1))
+        return route
 
     # -- shortest paths ----------------------------------------------------
 
@@ -193,15 +213,15 @@ class GridGraph:
         neighbour u with dist[u] + w(u, v) == dist[v]. This keeps the route a
         pure function of the distance field, independent of visit order.
         """
-        dist = self.source_distances(source)
-        if not math.isfinite(dist[destination]):
+        dist = self.source_distances(source).item  # Python floats: numpy scalars are slow
+        if not math.isfinite(dist(destination)):
             raise NoRouteError(f"nodes {source} and {destination} are disconnected")
         path = [destination]
         v = destination
         while v != source:
-            pred = -1
+            pred, dv = -1, dist(v)
             for u, w in self._adj[v]:  # neighbours sorted ascending
-                if dist[u] + w == dist[v]:
+                if dist(u) + w == dv:
                     pred = u
                     break
             if pred < 0:  # cannot happen on a converged distance field
@@ -298,8 +318,14 @@ class GridGraph:
         )
 
 
-def _clip(v: int, n: int) -> int:
-    return max(0, min(n - 1, int(v)))
+def _check_removal_fraction(x: float) -> None:
+    if not 0.0 <= x < 1.0:  # written so that NaN fails it
+        raise DomainError(f"removal_fraction must be in [0, 1), got {x}")
+
+
+def _cell_span(f: float, n: int) -> range:
+    """floor(f) through ceil(f), each clipped to [0, n): one or two indices."""
+    return range(max(0, min(n - 1, math.floor(f))), max(0, min(n - 1, math.ceil(f))) + 1)
 
 
 def _connected_with(n: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -331,8 +357,7 @@ def shortest_route(g: GridGraph, origin: Coordinate, destination: Coordinate) ->
     v = g.snap(destination)
     if u == v:
         raise NoRouteError(f"origin and destination snap to the same node {u}")
-    nodes = g.path_nodes(u, v)
-    return Route(id=f"sp-{u}-{v}", points=[g.node(i) for i in nodes])
+    return g.route(f"sp-{u}-{v}", g.path_nodes(u, v))
 
 
 def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:

@@ -336,3 +336,37 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout
+
+
+def test_gen_rejects_a_grid_with_zero_length_edges(tmp_path, capsys):
+    # at 1 cm spacing the haversine reads some edges as 0.0 m, and routing would cycle
+    out, graph = tmp_path / "pool.geojson", tmp_path / "graph.json"
+    code = main(["gen", "--rows", "6", "--cols", "7", "--spacing", "0.01", "--n", "20",
+                 "--out", str(out), "--graph-out", str(graph)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: edge ")
+    assert not out.exists() and not graph.exists()
+
+
+@pytest.mark.parametrize("fraction", [7.5, -0.1, float("nan")])
+def test_eval_rejects_graph_removal_fraction_out_of_range(tmp_path, capsys, fraction):
+    _, graph = run_gen(tmp_path)
+    doc = json.loads(graph.read_text())
+    doc["removal_fraction"] = fraction
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--graph", str(graph), "--n", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: removal_fraction must be in [0, 1)")
+    assert not out.exists()
+
+
+def test_eval_rejects_graph_file_with_zero_length_edges(tmp_path, capsys):
+    _, graph = run_gen(tmp_path)
+    doc = json.loads(graph.read_text())
+    doc["spacing_m"] = 0.01
+    del doc["nodes"]
+    graph.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--graph", str(graph), "--n", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: edge ")
+    assert not out.exists()

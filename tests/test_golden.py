@@ -12,6 +12,7 @@ import io
 
 import pytest
 
+from dlcss import GridGraph, read_geojson
 from dlcss.cli import main
 
 GEN_DIGESTS = {
@@ -31,6 +32,13 @@ CALIBRATED_EVAL_DIGESTS = {
 }
 
 CROSS_VALIDATED_DIGEST = "f6014b1d76dbd43b933f4c6eb4936aa42d5815475ba0d93df0c4f0dca1e7fbae"
+
+# (vehicle, request) -> digest of `dlcss meeting` on the `gen --n 60 --seed 3` files;
+# a meeting point rescues r008, and none rescues r001
+MEETING_DIGESTS = {
+    ("r000", "r008"): "c673a2cad645c82f15ce0f9c7da5800e41f2f6ede6608bd57513963664f74ad8",
+    ("r000", "r001"): "2d811012985c43f0741dc424ae3d6910eb2a80cfdcdba7ec31f5cb514f8a8be2",
+}
 
 
 def run(*args):
@@ -64,3 +72,29 @@ def test_cross_validated_eval_bytes(tmp_path):
     out = tmp_path / "report.json"
     run("eval", "--seed", "0", "--cross-validate", "5", "--out", str(out))
     assert sha256(out) == CROSS_VALIDATED_DIGEST
+
+
+def write_meeting_points(path, g, request_start):
+    """Every node within two blocks of the request's start, on the node and off it."""
+    r0, c0 = divmod(g.snap(request_start), g.cols)
+    lines = ["id,lat,lon,label"]
+    for v in range(g.num_nodes):
+        r, c = divmod(v, g.cols)
+        if abs(r - r0) + abs(c - c0) <= 2:
+            lat, lon = float(g.node_lats[v]), float(g.node_lons[v])
+            lines.append(f"n{v:03d},{lat!r},{lon!r},node")
+            # off the node, and off the grid where the node is on its north or east edge
+            lines.append(f"m{v:03d},{lat + 0.3 * g.dlat_deg!r},{lon + 0.3 * g.dlon_deg!r},")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("vehicle, request_id", list(MEETING_DIGESTS))
+def test_meeting_bytes(tmp_path, vehicle, request_id):
+    pool, graph, points, out = (tmp_path / name for name in
+                                ("pool.geojson", "graph.json", "points.csv", "meeting.json"))
+    run("gen", "--n", "60", "--seed", "3", "--out", str(pool), "--graph-out", str(graph))
+    start = {r.id: r for r in read_geojson(pool).routes}[request_id].points[0]
+    write_meeting_points(points, GridGraph.read_json(graph), start)
+    run("meeting", "--pool", str(pool), "--graph", str(graph), "--vehicle", vehicle,
+        "--request", request_id, "--points", str(points), "--out", str(out))
+    assert sha256(out) == MEETING_DIGESTS[vehicle, request_id]

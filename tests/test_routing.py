@@ -1,5 +1,6 @@
 """Grid graph, shortest paths, and the shared-ride detour oracle."""
 
+import json
 import math
 import random
 
@@ -149,8 +150,6 @@ def test_json_round_trip(tmp_path, default_grid):
 
 
 def test_json_rejects_tampered_nodes(tmp_path, intact_grid):
-    import json
-
     doc = intact_grid.to_json_dict()
     doc["nodes"][5][0] += 0.01
     path = tmp_path / "bad.json"
@@ -271,3 +270,94 @@ def test_detour_fractions_equal_single_pair_oracle(intact_grid):
     stub = [r.id for r in routes].index("stub")
     assert np.isinf(fractions[stub]).all()
     assert np.isfinite(np.delete(fractions[:, stub], stub)).any()
+
+
+def reference_snap(g, c):
+    """The nearest clipped floor/ceil cell corner by (distance, index), or None
+    outside the bbox, with one scalar distance per corner from fresh Coordinates."""
+    eps = 0.5 * 10.0**-7
+    lats, lons = g.node_lats, g.node_lons
+    if not (lats[0] - eps <= c.lat <= lats[-1] + eps and lons[0] - eps <= c.lon <= lons[-1] + eps):
+        return None
+    fr = (c.lat - g.origin.lat) / g.dlat_deg
+    fc = (c.lon - g.origin.lon) / g.dlon_deg
+    rows = {min(max(f(fr), 0), g.rows - 1) for f in (math.floor, math.ceil)}
+    cols = {min(max(f(fc), 0), g.cols - 1) for f in (math.floor, math.ceil)}
+    corners = [r * g.cols + k for r in rows for k in cols]
+    return min((distance(c, Coordinate(float(lats[i]), float(lons[i]))), i) for i in corners)[1]
+
+
+def _beyond(x, lo):
+    """The float just outside a range, next to its endpoint x (lo or the upper one)."""
+    return float(np.nextafter(x, -np.inf if x == lo else np.inf))
+
+
+@pytest.mark.parametrize("spacing_m", [250.0, 0.2])
+def test_snap_equals_scalar_reference(spacing_m):
+    g = GridGraph.build(8, 9, Coordinate(50.75, 6.08), spacing_m, 0.0, 1)
+    eps = 0.5 * 10.0**-7
+    lat_lo, lat_hi = float(g.node_lats[0]) - eps, float(g.node_lats[-1]) + eps
+    lon_lo, lon_hi = float(g.node_lons[0]) - eps, float(g.node_lons[-1]) + eps
+    probes = []
+    for i in range(g.num_nodes):
+        la, lo = float(g.node_lats[i]), float(g.node_lons[i])
+        probes.append((la, lo))
+        for s in (-1e-12, 1e-12):
+            probes += [(la + s * g.dlat_deg, lo), (la, lo + s * g.dlon_deg)]
+        probes.append((la + 0.5 * g.dlat_deg, lo + 0.5 * g.dlon_deg))  # cell midpoint
+    for la in (lat_lo, lat_hi):
+        for lo in (lon_lo, lon_hi):  # each bbox corner, just inside and just outside
+            probes += [(la, lo), (_beyond(la, lat_lo), lo), (la, _beyond(lo, lon_lo))]
+    ties = outside = 0
+    for la, lo in probes:
+        c = Coordinate(la, lo)
+        expected = reference_snap(g, c)
+        if expected is None:
+            outside += 1
+            with pytest.raises(DomainError, match="outside grid bounding box"):
+                g.snap(c)
+            continue
+        assert g.snap(c) == expected, (la, lo)
+        d = sorted(distance(c, g.node(i)) for i in range(g.num_nodes))
+        ties += d[0] == d[1]
+    assert outside == 8 + g.rows + g.cols - 1  # 2 per bbox corner, midpoints past the last row or column
+    assert ties > 0 or spacing_m > 1.0  # the 0.2 m grid has nearest-node ties
+
+
+def test_edge_weights_equal_scalar_distance(default_grid):
+    g = default_grid
+    weights = [(u, v, w) for u in range(g.num_nodes) for v, w in g._adj[u]]
+    assert len(weights) == 2 * len(g.edges)
+    assert all(w == distance(g.node(u), g.node(v)) for u, v, w in weights)
+
+
+def test_grid_route_point_array_equals_fresh_route(default_grid):
+    g = default_grid
+    routes = [shortest_route(g, g.node(0), g.node(g.num_nodes - 1)),
+              shortest_route(g, Coordinate(50.7512, 6.0931), Coordinate(50.7611, 6.0877)),
+              *generate_pool(g, n=5, seed=2).routes]
+    for route in routes:
+        fresh = Route(route.id, route.points)
+        assert route.point_array.flags.c_contiguous
+        assert route.point_array.tobytes() == fresh.point_array.tobytes()
+        assert route.leg_lengths_m == fresh.leg_lengths_m
+
+
+def test_zero_length_edges_are_rejected(tmp_path):
+    # at 0.1 mm the haversine reads some neighbouring nodes as 0.0 m apart
+    with pytest.raises(DomainError, match="spacing_m 0.0001 is too small"):
+        GridGraph.build(6, 7, Coordinate(50.75, 6.08), 1e-4, 0.0, 1)
+    doc = GridGraph.build(6, 7, Coordinate(50.75, 6.08), 1.0, 0.0, 1).to_json_dict()
+    doc["spacing_m"] = 0.01
+    del doc["nodes"]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DomainError, match="too small"):
+        GridGraph.read_json(path)
+
+
+@pytest.mark.parametrize("fraction", [7.5, -0.1, 1.0, float("nan")])
+def test_constructor_checks_removal_fraction(intact_grid, fraction):
+    g = intact_grid
+    with pytest.raises(DomainError, match="removal_fraction must be in"):
+        GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, fraction, g.seed)
