@@ -128,10 +128,6 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
     return out
 
 
-def _score(l_a: float, l_sub_a: float, sum_m: float) -> float:
-    return NO_OVERLAP if l_sub_a == 0.0 else (l_a / l_sub_a) * sum_m
-
-
 def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
     """Score a segment list: (full length / matched span length) * segment sum.
 
@@ -143,21 +139,19 @@ def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
     if not segments:
         raise DomainError("cannot score an empty segment list")
     l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
-    return _score(geo.route_length(a), l_sub_a, sum(s.distance_m for s in segments))
+    sum_m = sum(s.distance_m for s in segments)
+    return NO_OVERLAP if l_sub_a == 0.0 else (geo.route_length(a) / l_sub_a) * sum_m
 
 
 def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     """Run both phases and the score for a (vehicle, request) route pair."""
     segments = _segments(a, [r])[0]
-    sum_ls = sum(s.distance_m for s in segments)
-    l_a = geo.route_length(a)
-    l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
     return DlcssResult(
         segments=tuple(segments),
-        sum_segments_m=sum_ls,
-        l_sub_a_m=l_sub_a,
-        l_a_m=l_a,
-        sm=_score(l_a, l_sub_a, sum_ls),
+        sum_segments_m=sum(s.distance_m for s in segments),
+        l_sub_a_m=geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index),
+        l_a_m=geo.route_length(a),
+        sm=similarity_metric(segments, a),
     )
 
 

@@ -233,7 +233,7 @@ def emit_report(report: EvalReport, fmt: str, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    """Read a JSON report written by emit_report; diagnostics come back empty."""
+    """Read a JSON report from emit_report (no diagnostics); a bad field raises ParseError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -244,4 +244,13 @@ def read_report(path: str | Path) -> EvalReport:
         kwargs = {name: doc[name] for name in _REPORT_FIELDS}
     except KeyError as exc:
         raise ParseError(f"{path}: missing report field {exc}") from exc
+    for name, x in kwargs.items():  # JSON types: a bool is no number here
+        if name == "threshold_m":
+            ok = type(x) in (int, float) and 0.0 <= x < math.inf
+        elif "_rate" in name:
+            ok = type(x) in (int, float) and 0.0 <= x <= 1.0
+        else:  # n_pairs and the four counts
+            ok = type(x) is int and x >= 0
+        if not ok:
+            raise ParseError(f"{path}: invalid report field {name!r}: {x!r}")
     return EvalReport(**kwargs)

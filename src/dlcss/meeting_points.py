@@ -58,18 +58,16 @@ def evaluate_meeting_points(
     Each candidate's trial route runs from the meeting point to the
     request's original destination. Returns the candidate with the lowest
     similarity score if that score is within the threshold, otherwise None.
-    Ties break on the smallest candidate id. A route provider failure skips
-    the candidate (logged), it does not abort the search. Unlike
-    ``filter_pool``, a zero threshold raises DomainError: it must be positive and finite.
+    Ties break on the smallest candidate id. A provider DomainError (no route,
+    off-grid endpoint) skips that candidate, logged; other exceptions propagate.
     """
-    if not 0.0 < threshold_m < math.inf:  # written so that NaN fails it
-        raise DomainError(f"threshold must be positive and finite, got {threshold_m}")
+    matching._check_threshold(threshold_m, "threshold_m")
     destination = r.points[-1]
     trials: list[tuple[str, Route]] = []
     for m in candidates:
         try:
             trials.append((m.id, route_provider(m.location, destination)))
-        except Exception as exc:
+        except DomainError as exc:
             logger.warning("meeting point %s skipped: %s", m.id, exc)
     scores = core.score_requests(a, [route for _, route in trials])
     scored = [(sm, mid, route) for (mid, route), sm in zip(trials, scores)]

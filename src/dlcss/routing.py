@@ -8,7 +8,6 @@ be, and is the vehicle's detour acceptable?
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import json
 import math
@@ -72,15 +71,14 @@ class GridGraph:
             spacing_m / (geo.EARTH_RADIUS_M * math.cos(math.radians(origin.lat)))
         )
         n = rows * cols
-        r_idx, c_idx = np.divmod(np.arange(n), cols)
-        self.node_lats = origin.lat + r_idx * self.dlat_deg
-        self.node_lons = origin.lon + c_idx * self.dlon_deg
         # Per-node geometry, computed once: every Coordinate (which validates
         # it), the (6, n) Route.point_array over all nodes, and its trig rows.
         self._nodes = [
-            Coordinate(la, lo) for la, lo in zip(self.node_lats.tolist(), self.node_lons.tolist())
+            Coordinate(origin.lat + r * self.dlat_deg, origin.lon + c * self.dlon_deg)
+            for r in range(rows) for c in range(cols)
         ]
         self._table = Route("nodes", self._nodes).point_array
+        self.node_lats, self.node_lons = self._table[4], self._table[5]
         self._trig = list(zip(*self._table[:4].tolist()))
         # half a unit of the written precision: edge nodes survive a GeoJSON round trip
         eps = 0.5 * 10.0**-geo.COORD_DECIMALS
@@ -301,15 +299,7 @@ class GridGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridGraph):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.origin == other.origin
-            and self.spacing_m == other.spacing_m
-            and self.seed == other.seed
-            and self.removal_fraction == other.removal_fraction
-            and self.edges == other.edges
-        )
+        return self.parameters() == other.parameters() and self.edges == other.edges
 
     def __repr__(self) -> str:
         return (
@@ -368,13 +358,11 @@ def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:
     an incompatible verdict with a diagnostic instead of raising.
     """
     try:
-        for p in (a.points[0], a.points[-1], r.points[0], r.points[-1]):
-            g.snap(p)
+        detour, fraction = (float(m[0, 1]) for m in _detours(g, [a, r]))
     except DomainError as exc:
         return OracleAssessment(
             detour_m=math.inf, detour_fraction=math.inf, compatible=False, diagnostic=str(exc)
         )
-    detour, fraction = (float(m[0, 1]) for m in _detours(g, [a, r]))
     return OracleAssessment(
         detour_m=detour,
         detour_fraction=fraction,
@@ -384,7 +372,10 @@ def assess_shared_ride(g: GridGraph, a: Route, r: Route) -> OracleAssessment:
 
 
 def detour_fractions(g: GridGraph, routes: Sequence[Route]) -> np.ndarray:
-    """Matrix of ``assess_shared_ride(g, routes[i], routes[j]).detour_fraction``."""
+    """Matrix of ``assess_shared_ride(g, routes[i], routes[j]).detour_fraction``.
+
+    Raises DomainError, naming the route, when an endpoint lies off the grid.
+    """
     return _detours(g, routes)[1]
 
 
@@ -393,27 +384,23 @@ def _detours(g: GridGraph, routes: Sequence[Route]) -> tuple[np.ndarray, np.ndar
 
     Rows are vehicles, columns requests. Each endpoint is snapped once and
     the three legs are gathered from the memoized Dijkstra rows of the
-    snapped sources.
+    snapped sources. An endpoint off the grid raises DomainError naming its route.
     """
-    detours = np.full((len(routes), len(routes)), math.inf)
-    fractions = np.full((len(routes), len(routes)), math.inf)
-    ends: dict[int, tuple[int, int]] = {}
-    for i, r in enumerate(routes):
-        with contextlib.suppress(DomainError):  # unsnappable: the row and column stay inf
-            ends[i] = g.snap(r.points[0]), g.snap(r.points[-1])
-    if not ends:
-        return detours, fractions
-    ok = list(ends)
-    starts, stops = ([ends[i][k] for i in ok] for k in (0, 1))
+    starts, stops = [], []
+    for r in routes:
+        try:
+            starts.append(g.snap(r.points[0]))
+            stops.append(g.snap(r.points[-1]))
+        except DomainError as exc:
+            raise DomainError(f"route {r.id!r} has no grid label: {exc}") from exc
+    n = len(routes)  # the reshapes keep an empty pool (0, 0)
     start_rows = [g.source_distances(u) for u in starts]
-    to_pickup = np.array([row[starts] for row in start_rows])
+    to_pickup = np.array([row[starts] for row in start_rows]).reshape(n, n)
     ride = np.array([row[v] for row, v in zip(start_rows, stops)])
-    to_vehicle_end = np.array([g.source_distances(v)[stops] for v in stops]).T
-    l_a = np.array([[geo.route_length(routes[i])] for i in ok])
+    to_vehicle_end = np.array([g.source_distances(v)[stops] for v in stops]).reshape(n, n).T
+    l_a = np.array([geo.route_length(r) for r in routes])[:, None]
     detour = np.maximum(0.0, to_pickup + ride + to_vehicle_end - l_a)
     with np.errstate(divide="ignore", invalid="ignore"):
         fraction = detour / l_a
     fraction[l_a[:, 0] == 0.0] = math.inf  # zero-length vehicle
-    detours[np.ix_(ok, ok)] = detour
-    fractions[np.ix_(ok, ok)] = fraction
-    return detours, fractions
+    return detour, fraction

@@ -178,6 +178,18 @@ def test_eval_calibrated_run(tmp_path):
     assert report.n_pairs == 90
 
 
+def test_eval_pool_off_the_graph_exits_1(tmp_path, capsys):
+    """A pool drawn on a larger grid has routes the graph cannot label."""
+    pool, _ = run_gen(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    _, graph = run_gen(other, "--spacing", "100")
+    out = tmp_path / "report.json"
+    assert main(["eval", "--pool", str(pool), "--graph", str(graph), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: route '")
+    assert not out.exists()
+
+
 def test_eval_rerun_is_byte_identical(tmp_path):
     pool, graph = run_gen(tmp_path)
     out1 = tmp_path / "r1.json"
@@ -318,9 +330,10 @@ def test_nan_threshold_exits_1(tmp_path, intact_grid, command):
         args = ["meeting", "--rows", "12", "--cols", "12", "--removal-fraction", "0",
                 "--pool", str(pool_path), "--vehicle", a.id, "--request", r.id,
                 "--points", str(points_path)]
-    for value in ("nan", "inf"):  # JSON has neither
-        assert main(args + ["--threshold", value] + out) == 1
-        assert not (tmp_path / "out").exists()
+    # JSON has neither nan nor inf; zero is legal everywhere (it accepts exact-zero scores)
+    for value, code in (("nan", 1), ("inf", 1), ("-1", 1), ("0", 0)):
+        assert main(args + ["--threshold", value] + out) == code, value
+        assert (tmp_path / "out").exists() == (code == 0)
 
 
 def test_usage_errors_and_help():

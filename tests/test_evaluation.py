@@ -18,6 +18,7 @@ from dlcss import (
     evaluate_meeting_points,
     filter_pool,
     generate_pool,
+    rank_candidates,
     read_report,
     run_eval,
     shortest_route,
@@ -205,14 +206,39 @@ def test_cross_validation_equals_fold_by_fold_runs(request, grid, n, folds, seed
         lambda g, pool, x: evaluate_meeting_points(
             pool.routes[0], pool.routes[1], [], lambda o, d: None, threshold_m=x
         ),
+        lambda g, pool, x: rank_candidates(pool.routes[0], pool.routes, k=3, threshold=x),
     ],
     ids=["run_eval", "calibrate_threshold", "cross_validated_eval", "filter_pool",
-         "evaluate_meeting_points"],
+         "evaluate_meeting_points", "rank_candidates"],
 )
 def test_nan_threshold_rejected(intact_grid, mini_pool, call):
-    for value in (math.nan, math.inf):  # JSON has neither
+    """One threshold rule everywhere: zero is legal (it accepts only exact-zero
+    scores), and a negative, NaN or infinite threshold raises."""
+    call(intact_grid, mini_pool, 0.0)
+    for value in (-1.0, math.nan, math.inf):  # JSON has neither nan nor inf
         with pytest.raises(DomainError):
             call(intact_grid, mini_pool, value)
+
+
+def test_empty_and_one_route_pools_have_no_pairs(intact_grid, mini_pool):
+    for routes in ([], mini_pool.routes[:1]):
+        assert run_eval(RoutePool(routes=routes), intact_grid, threshold_m=100.0).n_pairs == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, pool: run_eval(pool, g, threshold_m=100.0),
+        lambda g, pool: calibrate_threshold(pool, g),
+        lambda g, pool: cross_validated_eval(pool, g, folds=2),
+    ],
+    ids=["run_eval", "calibrate_threshold", "cross_validated_eval"],
+)
+def test_off_grid_route_has_no_label(intact_grid, mini_pool, call):
+    """An unroutable pool raises, naming the route, instead of labeling it incompatible."""
+    far = Route("far", (Coordinate(40.0, 6.08), Coordinate(40.0, 6.09)))
+    with pytest.raises(DomainError, match="route 'far' has no grid label: latitude 40.0"):
+        call(intact_grid, RoutePool(routes=[*mini_pool.routes, far]))
 
 
 def test_json_report_round_trip(tmp_path, intact_grid, mini_pool):
@@ -264,3 +290,20 @@ def test_read_report_errors(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ParseError):
         read_report(path)
+    good = {"n_pairs": 4, "threshold_m": 10.0, "true_positives": 1, "false_positives": 1,
+            "true_negatives": 1, "false_negatives": 1, "rejection_rate": 0.5,
+            "tp_rate_among_accepted": 0.5}
+    path.write_text(json.dumps(good))
+    assert read_report(path).n_pairs == 4
+    bad = [("n_pairs", "many"), ("n_pairs", True), ("n_pairs", 4.0), ("true_positives", -3),
+           ("false_negatives", None), ("threshold_m", True), ("threshold_m", -1.0),
+           ("threshold_m", "10"), ("rejection_rate", "x"), ("rejection_rate", 1.5),
+           ("tp_rate_among_accepted", -0.1), ("tp_rate_among_accepted", False)]
+    for name, value in bad:
+        path.write_text(json.dumps({**good, name: value}))
+        with pytest.raises(ParseError, match=f"invalid report field '{name}'"):
+            read_report(path)
+    for text in ("NaN", "Infinity"):  # Python's json reads both
+        path.write_text(json.dumps(good).replace("10.0", text))
+        with pytest.raises(ParseError, match="'threshold_m'"):
+            read_report(path)

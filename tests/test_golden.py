@@ -31,6 +31,13 @@ CALIBRATED_EVAL_DIGESTS = {
     (1, "plot-data"): "ce0c263318f33625a4978606c06190b0a58756558000315927532a653bc72c26",
 }
 
+# format -> digest of `dlcss eval --pool P --graph G --calibrate` on the `gen --n 60 --seed 3`
+# files: the GeoJSON and graph-file path into the oracle
+FILE_EVAL_DIGESTS = {
+    "json": "608b3c3ce096da6600faf74dd6ed5fd8ae80e9511febc2ec76c925a475ced99b",
+    "plot-data": "efa992eca7c250c162340df8ec792092313d8971e6913054bbd1b6334a15f59f",
+}
+
 CROSS_VALIDATED_DIGEST = "f6014b1d76dbd43b933f4c6eb4936aa42d5815475ba0d93df0c4f0dca1e7fbae"
 
 # (vehicle, request) -> digest of `dlcss meeting` on the `gen --n 60 --seed 3` files;
@@ -66,6 +73,18 @@ def test_calibrated_eval_bytes(tmp_path, seed):
             "--out", str(out))
         digests[seed, fmt] = sha256(out)
     assert digests == {k: v for k, v in CALIBRATED_EVAL_DIGESTS.items() if k[0] == seed}
+
+
+def test_file_eval_bytes(tmp_path):
+    pool, graph = tmp_path / "pool.geojson", tmp_path / "graph.json"
+    run("gen", "--n", "60", "--seed", "3", "--out", str(pool), "--graph-out", str(graph))
+    digests = {}
+    for fmt in FILE_EVAL_DIGESTS:
+        out = tmp_path / f"report.{fmt}"
+        run("eval", "--pool", str(pool), "--graph", str(graph), "--calibrate", "--format", fmt,
+            "--out", str(out))
+        digests[fmt] = sha256(out)
+    assert digests == FILE_EVAL_DIGESTS
 
 
 def test_cross_validated_eval_bytes(tmp_path):

@@ -102,11 +102,29 @@ def test_all_providers_failing_returns_none(intact_grid):
     assert evaluate_meeting_points(a, r, cands, always_fails) is None
 
 
-def test_threshold_validation(intact_grid, grid_provider):
+def test_buggy_provider_propagates(intact_grid):
+    """Only a DomainError means "no route": a provider bug is not a skipped candidate."""
     a = scenarios.meeting_vehicle(intact_grid)
     r = scenarios.meeting_request(intact_grid)
+
+    def wrong_arity(origin):
+        return shortest_route(intact_grid, origin, r.points[-1])
+
+    with pytest.raises(TypeError):
+        evaluate_meeting_points(a, r, scenarios.meeting_candidates(intact_grid), wrong_arity)
+
+
+def test_threshold_validation(intact_grid, grid_provider):
+    # zero is legal, as for every threshold: it accepts only an exact-zero score
+    a = scenarios.meeting_vehicle(intact_grid)
+    r = scenarios.meeting_request(intact_grid)
+    cands = scenarios.meeting_candidates(intact_grid)
+    assert evaluate_meeting_points(a, r, cands, grid_provider, threshold_m=0.0) is None
+    at_start = [MeetingPoint("mp-start", a.points[0])]
+    match = evaluate_meeting_points(a, a, at_start, grid_provider, threshold_m=0.0)
+    assert match is not None and match.sm == 0.0
     with pytest.raises(DomainError):
-        evaluate_meeting_points(a, r, [], grid_provider, threshold_m=0.0)
+        evaluate_meeting_points(a, r, [], grid_provider, threshold_m=-1.0)
 
 
 def test_meeting_point_requires_id():

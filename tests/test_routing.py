@@ -232,44 +232,54 @@ def test_zero_length_vehicle_is_diagnosed(intact_grid):
 
 
 def test_detour_fractions_equal_single_pair_oracle(intact_grid):
-    """The array oracle and every single-pair field equal a scalar leg sum."""
+    """The array oracle and every single-pair field equal a scalar leg sum on
+    routable routes. An off-grid route makes the array oracle raise, naming it,
+    and the single-pair oracle diagnose it."""
     g = intact_grid
     p = Coordinate(50.76, 6.1)
     routes = list(generate_pool(g, n=10, seed=4).routes) + [
-        Route("off-grid", (Coordinate(50.76, 6.1), Coordinate(40.0, 6.09))),
         Route("stub", (p, p)),
         Route("out-and-back", (g.node(0), g.node(143), g.node(1))),  # shared < l_a
     ]
     random.Random(0).shuffle(routes)
-    ends = {}
-    for r in routes:
-        try:
-            ends[r.id] = g.snap(r.points[0]), g.snap(r.points[-1])
-        except DomainError:
-            pass
+    off_grid = Route("off-grid", (Coordinate(50.76, 6.1), Coordinate(40.0, 6.09)))
+    message = "route 'off-grid' has no grid label: latitude 40.0 outside grid bounding box"
+    with pytest.raises(DomainError, match=message):
+        detour_fractions(g, routes[:5] + [off_grid] + routes[5:])
+    ends = {r.id: (g.snap(r.points[0]), g.snap(r.points[-1])) for r in routes}
     fractions = detour_fractions(g, routes)
     assert fractions.shape == (len(routes), len(routes))
     for i, a in enumerate(routes):
         for j, r in enumerate(routes):
-            detour = fraction = math.inf
-            if a.id in ends and r.id in ends:
-                (a0, a1), (r0, r1) = ends[a.id], ends[r.id]
-                shared = (
-                    float(g.source_distances(a0)[r0])
-                    + float(g.source_distances(r0)[r1])
-                    + float(g.source_distances(r1)[a1])
-                )
-                l_a = route_length(a)
-                detour = max(0.0, shared - l_a)
-                fraction = detour / l_a if l_a > 0.0 else math.inf
+            (a0, a1), (r0, r1) = ends[a.id], ends[r.id]
+            shared = (
+                float(g.source_distances(a0)[r0])
+                + float(g.source_distances(r0)[r1])
+                + float(g.source_distances(r1)[a1])
+            )
+            l_a = route_length(a)
+            detour = max(0.0, shared - l_a)
+            fraction = detour / l_a if l_a > 0.0 else math.inf
             verdict = assess_shared_ride(g, a, r)
             assert fractions[i, j] == fraction, (a.id, r.id)
             assert (verdict.detour_m, verdict.detour_fraction) == (detour, fraction), (a.id, r.id)
             assert verdict.compatible == (fraction <= DETOUR_LIMIT_FRACTION)
             assert (verdict.diagnostic is None) == math.isfinite(fraction)
+        for verdict in (assess_shared_ride(g, a, off_grid), assess_shared_ride(g, off_grid, a)):
+            assert (verdict.detour_m, verdict.detour_fraction) == (math.inf, math.inf)
+            assert not verdict.compatible and verdict.diagnostic == message
     stub = [r.id for r in routes].index("stub")
     assert np.isinf(fractions[stub]).all()
     assert np.isfinite(np.delete(fractions[:, stub], stub)).any()
+
+
+def test_detour_fractions_of_empty_and_one_route_pools(intact_grid):
+    g = intact_grid
+    assert detour_fractions(g, []).shape == (0, 0)
+    a = shortest_route(g, g.node(0), g.node(30))
+    fractions = detour_fractions(g, [a])
+    assert fractions.shape == (1, 1)
+    assert fractions[0, 0] == assess_shared_ride(g, a, a).detour_fraction
 
 
 def reference_snap(g, c):
