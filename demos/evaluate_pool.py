@@ -25,6 +25,7 @@ def main():
     print(f"rejection rate: {report.rejection_rate:.3f}")
     print(f"precision among accepted: {report.tp_rate_among_accepted:.3f}")
     print(f"scoring {report.runtime_ms['scoring_ms']:.0f} ms,"
+          f" judging {report.runtime_ms['judging_ms']:.0f} ms,"
           f" oracle labeling {report.runtime_ms['labeling_ms']:.0f} ms")
 
 

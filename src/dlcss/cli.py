@@ -188,6 +188,9 @@ def cmd_match(cfg: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: argparse.Namespace) -> int:
+    if cfg.cv_folds and cfg.calibrate:
+        raise DomainError("--calibrate and --cross-validate exclude each other: "
+                          "cross-validation calibrates every fold itself")
     g = _build_grid(cfg)
     if cfg.pool is not None:
         pool = pools.read_geojson(cfg.pool)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +35,11 @@ TILE_CELLS = 65_536
 _BAND_REL, _BAND_ABS = 1e-9, 4 * 64 * float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class DlcssSegment:
-    """One closed line segment linking vehicle point ``a_index`` to request point ``r_index``."""
+class DlcssSegment(NamedTuple):
+    """One closed line segment linking vehicle point ``a_index`` to request point ``r_index``.
+
+    Bulk scoring carries the same triples as plain tuples.
+    """
 
     distance_m: float
     a_index: int
@@ -55,22 +57,23 @@ class DlcssResult:
     sm: float  # NO_OVERLAP when the matched span is a single point
 
 
-def _walk(rows: list, dists: list, cols: list) -> list[DlcssSegment]:
+def _walk(rows: list, dists: list, cols: list) -> list[tuple[float, int, int]]:
     """Phase two over one request's set cells sorted by (row, distance, column).
 
     A row's first cell at a column >= the cursor is its shortest candidate
-    (ties: smallest column), and becomes a segment. The cursor moves to that
-    column, inclusive, so one request point may anchor consecutive rows.
+    (ties: smallest column), and becomes a ``(distance_m, a_index, r_index)``
+    segment. The cursor moves to that column, inclusive, so one request point
+    may anchor consecutive rows.
     """
     segments, cursor, taken = [], 0, -1
-    for i, d, j in zip(rows, dists, cols):
-        if i != taken and j >= cursor:
-            segments.append(DlcssSegment(distance_m=d, a_index=i, r_index=j))
-            cursor, taken = j, i
+    for seg in zip(dists, rows, cols):
+        if seg[1] != taken and seg[2] >= cursor:
+            segments.append(seg)
+            taken, cursor = seg[1], seg[2]
     return segments
 
 
-def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
+def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int, int]]]:
     """Both phases for vehicle ``a`` against each request, in request order.
 
     Phase one maps each request point to its closest vehicle point (ties:
@@ -128,8 +131,8 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[DlcssSegment]]:
     return out
 
 
-def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
-    """Score a segment list: (full length / matched span length) * segment sum.
+def similarity_metric(segments: Sequence[tuple[float, int, int]], a: Route) -> float:
+    """Score ``DlcssSegment``s or plain triples: (full length / matched span length) * segment sum.
 
     The matched span is the stretch of A between the first and last matched
     vehicle points. A longer overlap shrinks the penalty factor towards 1;
@@ -138,16 +141,16 @@ def similarity_metric(segments: Sequence[DlcssSegment], a: Route) -> float:
     """
     if not segments:
         raise DomainError("cannot score an empty segment list")
-    l_sub_a = geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index)
-    sum_m = sum(s.distance_m for s in segments)
+    l_sub_a = geo.arc_length_between(a, segments[0][1], segments[-1][1])
+    sum_m = sum([s[0] for s in segments])  # from int 0, as compute_dlcss sums
     return NO_OVERLAP if l_sub_a == 0.0 else (geo.route_length(a) / l_sub_a) * sum_m
 
 
 def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     """Run both phases and the score for a (vehicle, request) route pair."""
-    segments = _segments(a, [r])[0]
+    segments = tuple(map(DlcssSegment._make, _segments(a, [r])[0]))
     return DlcssResult(
-        segments=tuple(segments),
+        segments=segments,
         sum_segments_m=sum(s.distance_m for s in segments),
         l_sub_a_m=geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index),
         l_a_m=geo.route_length(a),

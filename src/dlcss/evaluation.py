@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,11 @@ _REPORT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class PairOutcome:
-    """One ordered (vehicle, request) pair: metric verdict vs ground truth."""
+class PairOutcome(NamedTuple):
+    """One ordered (vehicle, request) pair: metric verdict vs ground truth.
+
+    A named tuple: immutable, and cheap to build for a pool's ~10,000 pairs.
+    """
 
     a_id: str
     r_id: str
@@ -96,16 +99,17 @@ def _max_finite_sm(table: np.ndarray, mask: np.ndarray, default_m: float) -> flo
 
 
 def _judge(routes, fractions: np.ndarray, table: np.ndarray, mask: np.ndarray, threshold_m: float):
-    """PairOutcome of every pair in ``mask``, in (a_id, r_id) order."""
-    labels, scores = fractions.tolist(), table.tolist()
-    return [
-        PairOutcome(
-            routes[i].id, routes[j].id, scores[i][j], labels[i][j],
-            accepted=math.isfinite(scores[i][j]) and scores[i][j] <= threshold_m,
-            compatible=labels[i][j] <= routing.DETOUR_LIMIT_FRACTION,
-        )
-        for i, j in np.argwhere(mask).tolist()
-    ]
+    """PairOutcome of every pair in ``mask``, in (a_id, r_id) order.
+
+    Built from flat row-major columns. ``sm <= threshold_m`` rejects
+    NO_OVERLAP because every caller's threshold is finite.
+    """
+    ids = [r.id for r in routes]
+    a_ids, r_ids = (map(ids.__getitem__, x.tolist()) for x in np.nonzero(mask))
+    sm, frac = table[mask], fractions[mask]
+    accepted, compatible = sm <= threshold_m, frac <= routing.DETOUR_LIMIT_FRACTION
+    columns = (sm.tolist(), frac.tolist(), accepted.tolist(), compatible.tolist())
+    return list(map(PairOutcome, a_ids, r_ids, *columns))
 
 
 def calibrate_threshold(
@@ -139,15 +143,20 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     fractions = routing.detour_fractions(g, routes)
     t1 = time.perf_counter()
     mask = _pairs(np.ones(len(routes), bool))
-    outcomes = _judge(routes, fractions, _sm_table(routes, mask), mask, threshold_m)
+    table = _sm_table(routes, mask)
     t2 = time.perf_counter()
+    outcomes = _judge(routes, fractions, table, mask, threshold_m)
+    return _aggregate(outcomes, threshold_m, _runtime_ms(t0, t1, t2, time.perf_counter()))
 
-    runtime_ms = {
+
+def _runtime_ms(t0: float, t1: float, t2: float, t3: float) -> dict:
+    """``runtime_ms`` of labeling (t0-t1), scoring (t1-t2) and judging (t2-t3)."""
+    return {
         "scoring_ms": (t2 - t1) * 1e3,
         "labeling_ms": (t1 - t0) * 1e3,
-        "total_ms": (t2 - t0) * 1e3,
+        "judging_ms": (t3 - t2) * 1e3,
+        "total_ms": (t3 - t0) * 1e3,
     }
-    return _aggregate(outcomes, threshold_m, runtime_ms)
 
 
 def _aggregate(outcomes: list[PairOutcome], threshold_m: float, runtime_ms: dict) -> EvalReport:
@@ -193,18 +202,22 @@ def cross_validated_eval(
     fold_of = np.empty(len(routes), dtype=int)
     fold_of[order] = np.arange(len(routes)) % folds
 
+    t0 = time.perf_counter()
     fractions = routing.detour_fractions(g, routes)
+    t1 = time.perf_counter()
     compatible = fractions <= routing.DETOUR_LIMIT_FRACTION
     held = [_pairs(fold_of == f) for f in range(folds)]
     train = [compatible & _pairs(fold_of != f) for f in range(folds)]
     table = _sm_table(routes, np.logical_or.reduce(held + train))
+    t2 = time.perf_counter()
     outcomes: list[PairOutcome] = []
     thresholds: list[float] = []
     # folds <= n_routes/2 deals every fold at least 2 routes
     for held_pairs, train_pairs in zip(held, train):
         thresholds.append(_max_finite_sm(table, train_pairs, default_m))
         outcomes.extend(_judge(routes, fractions, table, held_pairs, thresholds[-1]))
-    return _aggregate(outcomes, max(thresholds), runtime_ms={})
+    runtime_ms = _runtime_ms(t0, t1, t2, time.perf_counter())
+    return _aggregate(outcomes, max(thresholds), runtime_ms)
 
 
 def report_to_json_dict(report: EvalReport) -> dict:

@@ -221,6 +221,17 @@ def test_eval_cross_validated(tmp_path):
     assert report.n_pairs > 0
 
 
+def test_eval_calibrate_and_cross_validate_exclude_each_other(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", *SMALL_GRID, "--n", "20", "--seed", "1", "--cross-validate", "2",
+         "--calibrate", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --calibrate and --cross-validate")
+    assert not out.exists()
+
+
 def test_eval_plot_data_format(tmp_path):
     pool, graph = run_gen(tmp_path)
     out = tmp_path / "scatter.csv"

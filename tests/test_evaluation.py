@@ -136,6 +136,20 @@ def test_run_eval_is_deterministic(intact_grid, mini_pool):
     assert r1.pairs == r2.pairs
 
 
+def test_runtime_ms_is_one_record(intact_grid, mini_pool):
+    """run_eval and cross-validation time the same stages: judging apart from
+    scoring, and the total spans all three."""
+    for report in (
+        run_eval(mini_pool, intact_grid, threshold_m=5000.0),
+        cross_validated_eval(mini_pool, intact_grid, folds=2, seed=1),
+    ):
+        ms = report.runtime_ms
+        assert set(ms) == {"labeling_ms", "scoring_ms", "judging_ms", "total_ms"}
+        assert min(ms.values()) >= 0.0
+        parts = ms["labeling_ms"] + ms["scoring_ms"] + ms["judging_ms"]
+        assert math.isclose(ms["total_ms"], parts, abs_tol=1e-6)
+
+
 def test_cross_validation_bounds(intact_grid, mini_pool):
     with pytest.raises(DomainError):
         cross_validated_eval(mini_pool, intact_grid, folds=1)

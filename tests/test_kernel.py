@@ -11,7 +11,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from dlcss import NO_OVERLAP, Coordinate, Route, compute_dlcss, filter_pool
+from dlcss import NO_OVERLAP, Coordinate, DlcssSegment, Route, compute_dlcss, filter_pool
 from dlcss import core, geo
 
 from reference import reference_segments, reference_sm
@@ -82,6 +82,25 @@ def assert_bit_equal(a, requests):
 @given(batches())
 def test_kernel_equals_single_pair_and_reference(batch):
     assert_bit_equal(*batch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batches())
+def test_kernel_invariants(batch):
+    """Segments advance along A strictly and along R never backwards, every sm
+    is >= 0, a self-match scores 0.0 unless A has zero length, and the score
+    reads DlcssSegments and plain triples alike."""
+    a, requests = batch
+    scores = core.score_requests(a, requests)
+    for segments, sm in zip(core._segments(a, requests), scores):
+        rows, cols = [s[1] for s in segments], [s[2] for s in segments]
+        assert all(i < k for i, k in zip(rows, rows[1:]))
+        assert all(j <= k for j, k in zip(cols, cols[1:]))
+        assert sm >= 0.0
+        named = [DlcssSegment._make(s) for s in segments]
+        assert core.similarity_metric(named, a) == core.similarity_metric(segments, a) == sm
+    self_sm = 0.0 if geo.route_length(a) > 0.0 else NO_OVERLAP
+    assert core.score_requests(a, [a]) == [self_sm]
 
 
 def test_kernel_on_random_routes():

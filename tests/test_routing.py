@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlcss import (
     Coordinate,
@@ -371,3 +372,60 @@ def test_constructor_checks_removal_fraction(intact_grid, fraction):
     g = intact_grid
     with pytest.raises(DomainError, match="removal_fraction must be in"):
         GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, fraction, g.seed)
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 2.0, True])
+def test_node_indices_are_checked(bad):
+    """An index outside [0, n), or one that is not an int, raises DomainError
+    naming it, instead of wrapping around, failing deep inside or memoizing."""
+    g = GridGraph.build(4, 4, Coordinate(50.75, 6.08), 250.0, 0.0, 0)
+    message = f"node index {bad!r} invalid for 16 nodes"
+    calls = [
+        lambda: g.source_distances(bad),
+        lambda: g.source_rows([0, bad]),
+        lambda: g.path_nodes(0, bad),
+        lambda: g.path_nodes(bad, 0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+    assert not g._source_dists
+    assert g.path_nodes(0, 15)[-1] == 15
+
+
+@st.composite
+def graphs_and_sources(draw):
+    """A small seeded grid anywhere from 0.3 m to 3 km spacing and up to 89 N,
+    loaded from a graph document with extra long-range and duplicate edges,
+    and a source list with repeats, part of it warmed one source at a time."""
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    origin = Coordinate(draw(st.floats(-60.0, 89.0)), draw(st.floats(-10.0, 10.0)))
+    g = GridGraph.build(
+        rows, cols, origin, draw(st.floats(0.3, 3000.0)),
+        draw(st.floats(0.0, 0.5)), draw(st.integers(0, 9)),
+    )
+    n = g.num_nodes
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=6))
+    extra += draw(st.lists(st.sampled_from(g.edges), max_size=3))
+    doc = g.to_json_dict()
+    doc["edges"] += [list(e) for e in extra]
+    g = GridGraph.from_json_dict(doc)
+    sources = draw(st.lists(node, min_size=1, max_size=20))
+    sources += draw(st.lists(st.sampled_from(sources), max_size=3))
+    warm = draw(st.lists(st.sampled_from(sources), max_size=3))
+    return g, sources, warm
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(graphs_and_sources())
+def test_source_rows_equal_heap_rows_bit_for_bit(case):
+    g, sources, warm = case
+    heap = GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, g.removal_fraction, g.seed)
+    for s in warm:
+        g.source_distances(s)
+    rows = g.source_rows(sources)
+    assert len(rows) == len(sources)
+    for s, row in zip(sources, rows):
+        assert row.tobytes() == heap.source_distances(s).tobytes(), s
+        assert g.source_distances(s) is row  # memoized
