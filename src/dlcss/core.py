@@ -13,7 +13,9 @@ arguments generally changes the result.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,7 +33,17 @@ NO_OVERLAP = math.inf
 #: 65,536 beat 16,384 by 8-20% on grid pools and 100-point routes, 262,144 did not.
 TILE_CELLS = 65_536
 
-#: Phase one's candidate band in h units, relative and absolute (see ``_segments``).
+#: Pairs from which ``score_table`` runs phase two for all pairs at once. Both
+#: paths took the same time for 1 vehicle x 99 grid-pool requests; below that,
+#: one walk per request is faster.
+BATCH_MIN_PAIRS = 100
+
+#: Request columns (and vehicle rows) per phase-two block of ``_table_segments``.
+#: A 9,900-pair grid-pool table peaked at 1.6 MB (tracemalloc) with 8,192 and
+#: 2.6 MB with 16,384; 4,096 cost 100-point routes ~5% more time.
+BLOCK_COLUMNS = 8_192
+
+#: Phase one's candidate band in h units, relative and absolute (see ``_phase_one``).
 _BAND_REL, _BAND_ABS = 1e-9, 4 * 64 * float(np.finfo(np.float64).eps)
 
 
@@ -73,33 +85,31 @@ def _walk(rows: list, dists: list, cols: list) -> list[tuple[float, int, int]]:
     return segments
 
 
-def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int, int]]]:
-    """Both phases for vehicle ``a`` against each request, in request order.
+def _unit_vectors(x: np.ndarray) -> np.ndarray:
+    """cos phi (cos lam, sin lam), sin phi of ``Route.point_array`` columns."""
+    return np.concatenate((x[1] * x[3:1:-1], x[:1]))
 
-    Phase one maps each request point to its closest vehicle point (ties:
-    smallest index) in column tiles over all requests. Per tile, one matmul of
-    unit vectors picks candidates: (1 - dot) / 2 equals ``_haversine_h`` in
-    exact arithmetic on the same trig, so it is monotone in the angle, and
-    only cells in the band of their column's best proxy get the exact
-    distance. No winner lies outside the band. h and its proxy differ by a
-    few eps (at most 1 eps, measured from 180 down to 1e-7 degrees apart), far
-    inside the absolute part. A row whose d does not exceed the best row's
-    (equal after rounding, or an np.arcsin ulp) has an h at most a few ulp
-    above it: the relative part. A same-point cell, d = 0 by the mask, has an
-    h and a proxy within a few eps of 0, and no proxy lies further below. Only
-    columns with more than one cell in the band compare exact distances. A
-    stable order by (request, row, distance) then feeds each phase two.
+
+def _phase_one(p, pu, q, qu) -> tuple[np.ndarray, np.ndarray]:
+    """Closest vehicle point (row) and its distance for each request column.
+
+    ``p`` and ``q`` are laid out as ``Route.point_array``, ``pu`` and ``qu``
+    are their ``_unit_vectors``. Ties go to the smallest row. Per column tile,
+    one matmul of unit vectors picks candidates: (1 - dot) / 2 equals
+    ``_haversine_h`` in exact arithmetic on the same trig, so it is monotone
+    in the angle, and only cells in the band of their column's best proxy get
+    the exact distance. No winner lies outside the band. h and its proxy
+    differ by a few eps (at most 1 eps, measured from 180 down to 1e-7
+    degrees apart), far inside the absolute part. A row whose d does not
+    exceed the best row's (equal after rounding, or an np.arcsin ulp) has an
+    h at most a few ulp above it: the relative part. A same-point cell, d = 0
+    by the mask, has an h and a proxy within a few eps of 0, and no proxy lies
+    further below. Only columns with more than one cell in the band compare
+    exact distances. So a column's result reads only that column of ``q``.
     """
-    if not requests:  # np.concatenate needs at least one array
-        return []
-    lens = [len(r.points) for r in requests]
-    total = sum(lens)
-    p = a.point_array
-    q = np.concatenate([r.point_array for r in requests], axis=1)
-    # unit vectors cos phi (cos lam, sin lam), sin phi: per call, as fresh routes gain no cache
-    pu, qu = (np.concatenate((x[1] * x[3:1:-1], x[:1])) for x in (p, q))
+    total = q.shape[1]
     rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
-    width = max(1, TILE_CELLS // len(a.points))
+    width = max(1, TILE_CELLS // p.shape[1])
     for c0 in range(0, total, width):
         tile = slice(c0, c0 + width)
         dot = qu[:, tile].T @ pu  # (columns, rows): nonzero runs column by column
@@ -116,6 +126,21 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int
             first = order[np.flatnonzero(np.diff(cols[order], prepend=-1))]
             cand[tied], d[tied] = rivals[first], d_tied[first]
         rows[tile], dists[tile] = cand, d
+    return rows, dists
+
+
+def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int, int]]]:
+    """Both phases for vehicle ``a`` against each request, in request order.
+
+    Phase one (``_phase_one``) runs over every column of the requests. A
+    stable order by (request, row, distance) then feeds one ``_walk`` per
+    request. Requires at least one request.
+    """
+    lens = [len(r.points) for r in requests]
+    p = a.point_array
+    q = np.concatenate([r.point_array for r in requests], axis=1)
+    # unit vectors per call, as fresh routes gain no cache
+    rows, dists = _phase_one(p, _unit_vectors(p), q, _unit_vectors(q))
     # by (request, row, distance), ties in j order: two stable sorts, faster than a lexsort
     by_dist = np.argsort(dists, kind="stable")
     request_of = np.repeat(np.arange(len(lens)), lens)
@@ -129,6 +154,107 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int
         start, end = end, end + n
         out.append(_walk(rows_s[start:end], dists_s[start:end], cols_s[start:end]))
     return out
+
+
+def _walk_pairs(
+    cell_bucket: np.ndarray, bucket_pair: np.ndarray, j: np.ndarray, dists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_walk`` for many pairs at once, in rounds of array operations.
+
+    A bucket is one (pair, row), numbered in (pair, row) order, and
+    ``bucket_pair`` gives its pair. Each cell (pair, request point j) lies
+    in the bucket of its phase-one row. Each round, every open bucket picks
+    its smallest (distance, j) among its cells at a j >= its pair's cursor,
+    or is skipped if it has none. Along each pair, the buckets up to, but not
+    including, the first pick below an earlier pick of the round are
+    accepted, and the cursor moves to the last accepted j. By induction, each
+    accepted bucket saw the cursor ``_walk`` sees: its pick is not below the
+    previous accepted pick, and every cell the round's cursor passed over
+    lies below that pick too. Each pair's first open bucket is accepted, so
+    every round makes progress. Returns the accepted buckets, ascending, and
+    their picks' distances and j.
+    """
+    n, span = len(bucket_pair), int(j.max()) + 1
+    cursor = np.zeros(bucket_pair[-1] + 1, dtype=j.dtype)
+    accepted, low, first = np.zeros(n, bool), np.empty(n), np.empty(n, dtype=j.dtype)
+    while len(j):  # the cells of the open buckets at j >= the cursor
+        low_r, first_r = np.full(n, np.inf), np.full(n, span)
+        np.minimum.at(low_r, cell_bucket, dists)
+        tie = dists == low_r[cell_bucket]
+        np.minimum.at(first_r, cell_bucket[tie], j[tie])
+        live = np.flatnonzero(first_r < span)
+        # pair ids ascend, so one running max over pair * span + j restarts at each pair
+        pair = bucket_pair[live]
+        key = pair * span + first_r[live]
+        stepped = key < np.maximum.accumulate(np.concatenate(([-1], key[:-1])))
+        g = np.arange(len(live))
+        pair_start = np.maximum.accumulate(np.where(np.diff(pair, prepend=-1) != 0, g, 0))
+        ok = live[np.maximum.accumulate(np.where(stepped, g, -1)) < pair_start]
+        accepted[ok], low[ok], first[ok] = True, low_r[ok], first_r[ok]
+        last = ok[np.diff(bucket_pair[ok], append=-1) != 0]  # each pair's last acceptance
+        cursor[bucket_pair[last]] = first_r[last]
+        # a bucket left without a cell at j >= the cursor is skipped: the cursor only grows
+        keep = ~accepted[cell_bucket] & (j >= cursor[bucket_pair[cell_bucket]])
+        cell_bucket, j, dists = cell_bucket[keep], j[keep], dists[keep]
+    done = np.flatnonzero(accepted)
+    return done, low[done], first[done]
+
+
+def _block_segments(rows_u, dists_u, local, point_of, col_start, n_cols, n_rows) -> list:
+    """Segment lists of one block's pairs, in order: pair k is vehicle ``local[k]``
+    (a row of the phase-one tables ``rows_u`` and ``dists_u``, by distinct
+    point) against the ``n_cols[k]`` request columns from ``col_start[k]``
+    (distinct points ``point_of``), with ``n_rows[k]`` vehicle points.
+    Arrays die with the call; only the segments outlive it.
+    """
+    pair_of = np.repeat(np.arange(len(n_cols)), n_cols)
+    j = np.arange(len(pair_of)) - (np.cumsum(n_cols) - n_cols)[pair_of]
+    cell = (local[pair_of], point_of[np.repeat(col_start, n_cols) + j])
+    row0, bucket_pair = np.cumsum(n_rows) - n_rows, np.repeat(np.arange(len(n_rows)), n_rows)
+    picked, d, j_picked = _walk_pairs(row0[pair_of] + rows_u[cell], bucket_pair, j, dists_u[cell])
+    pair = bucket_pair[picked]
+    triples = list(zip(d.tolist(), (picked - row0[pair]).tolist(), j_picked.tolist()))
+    bounds = np.cumsum(np.bincount(pair, minlength=len(n_cols))).tolist()
+    return [triples[start:stop] for start, stop in zip([0, *bounds], bounds)]
+
+
+def _table_segments(vehicles: Sequence[Route], requests: Sequence[Route], mask: np.ndarray):
+    """Segment lists of the pairs where ``mask``, in row-major order, all pairs at once.
+
+    Phase one runs once per vehicle over the distinct request points of its
+    pairs. That is exact: a column's result reads only that column of
+    ``point_array``, which ``Route`` and ``GridGraph.route`` both derive from
+    its (lat, lon) through ``geo._point_trig``. Phase two (``_walk_pairs``)
+    runs per block of pairs with at most BLOCK_COLUMNS request columns and
+    as many vehicle rows (or one pair), which bounds the memory a large
+    table takes.
+    """
+    pi, pj = np.nonzero(mask)
+    lens, vlens = (np.array([len(r.points) for r in x]) for x in (requests, vehicles))
+    q = np.concatenate([r.point_array for r in requests], axis=1)
+    key = np.ascontiguousarray(q[4:].T).view(np.dtype((np.void, 16))).ravel()
+    _, first, point_of = np.unique(key, return_index=True, return_inverse=True)
+    q, request_of, col0 = q[:, first], np.repeat(np.arange(len(lens)), lens), np.cumsum(lens) - lens
+    qu = _unit_vectors(q)
+    nearest = {}  # vehicle: (rows, dists) over the distinct points, kept while its pairs last
+    size_to = np.cumsum(np.maximum(lens[pj], vlens[pi]))
+    b0 = 0
+    while b0 < len(pi):
+        limit = size_to[b0] - max(lens[pj[b0]], vlens[pi[b0]]) + BLOCK_COLUMNS
+        b1 = max(b0 + 1, int(np.searchsorted(size_to, limit, side="right")))
+        bi, bj = pi[b0:b1], pj[b0:b1]
+        vs, local = np.unique(bi, return_inverse=True)
+        nearest = {v: nearest[v] for v in nearest if v == vs[0]}
+        for v in vs.tolist():
+            if v not in nearest:
+                pts = np.flatnonzero(np.bincount(point_of[mask[v][request_of]], minlength=q.shape[1]))
+                p = vehicles[v].point_array
+                rows, dists = np.empty(q.shape[1], np.intp), np.empty(q.shape[1])
+                rows[pts], dists[pts] = _phase_one(p, _unit_vectors(p), q[:, pts], qu[:, pts])
+                nearest[v] = rows, dists
+        rows_u, dists_u = (np.stack([nearest[v][k] for v in vs]) for k in (0, 1))
+        yield from _block_segments(rows_u, dists_u, local, point_of, col0[bj], lens[bj], vlens[bi])
+        b0 = b1
 
 
 def similarity_metric(segments: Sequence[tuple[float, int, int]], a: Route) -> float:
@@ -158,9 +284,42 @@ def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     )
 
 
+def score_table(
+    vehicles: Sequence[Route], requests: Sequence[Route], mask: np.ndarray | None = None
+) -> np.ndarray:
+    """sm of ``vehicles[i]`` against ``requests[j]`` at [i, j] where ``mask`` (default:
+    everywhere), NaN elsewhere; each equal to ``compute_dlcss(vehicles[i], requests[j]).sm``.
+
+    Calls with at least BATCH_MIN_PAIRS pairs run phase two for all pairs at
+    once (``_table_segments``); smaller ones walk each request (``_segments``).
+    """
+    shape = (len(vehicles), len(requests))
+    mask = np.ones(shape, bool) if mask is None else np.asarray(mask, bool)
+    if mask.shape != shape:
+        raise DomainError(f"mask shape {mask.shape} differs from the table's {shape}")
+    pi, pj = np.nonzero(mask)
+    if len(pi) >= BATCH_MIN_PAIRS:
+        segments = _table_segments(vehicles, requests, mask)
+    else:
+        rows = itertools.groupby(zip(pi.tolist(), pj.tolist()), key=operator.itemgetter(0))
+        segments = (
+            s for i, row in rows for s in _segments(vehicles[i], [requests[j] for _, j in row])
+        )
+    table = np.full(shape, np.nan)
+    sms = (similarity_metric(s, vehicles[i]) for i, s in zip(pi.tolist(), segments))
+    table[pi, pj] = np.fromiter(sms, float, len(pi))
+    return table
+
+
 def score_requests(a: Route, requests: Sequence[Route]) -> list[float]:
-    """sm of vehicle ``a`` against each request, equal to ``compute_dlcss(a, r).sm``."""
-    return [similarity_metric(segments, a) for segments in _segments(a, requests)]
+    """sm of vehicle ``a`` against each request, equal to ``compute_dlcss(a, r).sm``.
+
+    ``score_table``'s one-vehicle row; below BATCH_MIN_PAIRS requests, as in a
+    meeting search, it walks each request without building a table.
+    """
+    if len(requests) >= BATCH_MIN_PAIRS:
+        return score_table([a], requests)[0].tolist()
+    return [similarity_metric(s, a) for s in _segments(a, requests)] if requests else []
 
 
 def metric_sweep(

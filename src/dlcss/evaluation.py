@@ -22,7 +22,6 @@ import numpy as np
 
 from . import core, routing
 from .errors import DomainError, ParseError
-from .geo import Route
 from .matching import DEFAULT_THRESHOLD_M, _check_threshold
 from .pools import RoutePool
 from .routing import GridGraph
@@ -83,15 +82,6 @@ def _pairs(members: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _sm_table(routes: list[Route], mask: np.ndarray) -> np.ndarray:
-    """sm of vehicle ``routes[i]`` and request ``routes[j]`` where ``mask``, NaN elsewhere."""
-    table = np.full(mask.shape, np.nan)
-    for i, row in enumerate(mask):
-        cols = np.flatnonzero(row)
-        table[i, cols] = core.score_requests(routes[i], [routes[j] for j in cols.tolist()])
-    return table
-
-
 def _max_finite_sm(table: np.ndarray, mask: np.ndarray, default_m: float) -> float:
     """Largest finite sm of ``table`` where ``mask``, else ``default_m``."""
     scores = table[mask & np.isfinite(table)]
@@ -127,7 +117,7 @@ def calibrate_threshold(
     routes = sorted(pool.routes, key=lambda r: r.id)
     compatible = routing.detour_fractions(g, routes) <= routing.DETOUR_LIMIT_FRACTION
     mask = compatible & _pairs(np.ones(len(routes), bool))
-    return _max_finite_sm(_sm_table(routes, mask), mask, default_m)
+    return _max_finite_sm(core.score_table(routes, routes, mask), mask, default_m)
 
 
 def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
@@ -143,7 +133,7 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     fractions = routing.detour_fractions(g, routes)
     t1 = time.perf_counter()
     mask = _pairs(np.ones(len(routes), bool))
-    table = _sm_table(routes, mask)
+    table = core.score_table(routes, routes, mask)
     t2 = time.perf_counter()
     outcomes = _judge(routes, fractions, table, mask, threshold_m)
     return _aggregate(outcomes, threshold_m, _runtime_ms(t0, t1, t2, time.perf_counter()))
@@ -164,6 +154,7 @@ def _aggregate(outcomes: list[PairOutcome], threshold_m: float, runtime_ms: dict
     tp, fp = counts[True, True], counts[True, False]
     tn, fn = counts[False, False], counts[False, True]
     n = len(outcomes)
+    rejection_rate, tp_rate = _rates(n, tp, fp, tn, fn)
     return EvalReport(
         n_pairs=n,
         threshold_m=threshold_m,
@@ -171,11 +162,16 @@ def _aggregate(outcomes: list[PairOutcome], threshold_m: float, runtime_ms: dict
         false_positives=fp,
         true_negatives=tn,
         false_negatives=fn,
-        rejection_rate=(tn + fn) / n if n else 0.0,
-        tp_rate_among_accepted=tp / (tp + fp) if tp + fp else 0.0,
+        rejection_rate=rejection_rate,
+        tp_rate_among_accepted=tp_rate,
         runtime_ms=runtime_ms,
         pairs=outcomes,
     )
+
+
+def _rates(n: int, tp: int, fp: int, tn: int, fn: int) -> tuple[float, float]:
+    """rejection_rate and tp_rate_among_accepted of a confusion matrix over n pairs."""
+    return (tn + fn) / n if n else 0.0, tp / (tp + fp) if tp + fp else 0.0
 
 
 def cross_validated_eval(
@@ -208,7 +204,7 @@ def cross_validated_eval(
     compatible = fractions <= routing.DETOUR_LIMIT_FRACTION
     held = [_pairs(fold_of == f) for f in range(folds)]
     train = [compatible & _pairs(fold_of != f) for f in range(folds)]
-    table = _sm_table(routes, np.logical_or.reduce(held + train))
+    table = core.score_table(routes, routes, np.logical_or.reduce(held + train))
     t2 = time.perf_counter()
     outcomes: list[PairOutcome] = []
     thresholds: list[float] = []
@@ -266,4 +262,13 @@ def read_report(path: str | Path) -> EvalReport:
             ok = type(x) is int and x >= 0
         if not ok:
             raise ParseError(f"{path}: invalid report field {name!r}: {x!r}")
+    n, tp, fp, tn, fn, *rates = (kwargs[name] for name in _REPORT_FIELDS if name != "threshold_m")
+    if tp + fp + tn + fn != n:
+        raise ParseError(
+            f"{path}: true_positives + false_positives + true_negatives + false_negatives"
+            f" = {tp + fp + tn + fn}, but n_pairs = {n}"
+        )
+    for name, x, want in zip(_REPORT_FIELDS[-2:], rates, _rates(n, tp, fp, tn, fn)):
+        if x != want:
+            raise ParseError(f"{path}: {name} {x!r} contradicts the counts, which give {want!r}")
     return EvalReport(**kwargs)

@@ -1,10 +1,10 @@
 """Threshold filtering of route pools: which pairs merit a real routing check.
 
-Scoring every ordered (vehicle, request) pair is cheap: one kernel call per
-vehicle scores all its requests in the calling process. The expensive
-routing-based verification only needs to run for pairs that survive the
-threshold. The default threshold is deliberately cautious so that genuine
-matches are not filtered away.
+Scoring every ordered (vehicle, request) pair is cheap: one kernel call
+scores the whole (vehicles x requests) table in the calling process. The
+expensive routing-based verification only needs to run for pairs that
+survive the threshold. The default threshold is deliberately cautious so
+that genuine matches are not filtered away.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import score_requests
+from .core import score_requests, score_table
 from .errors import DomainError
 from .geo import Route
 
@@ -42,22 +42,8 @@ def _check_threshold(threshold: float, name: str = "threshold") -> None:
     Zero is legal: it accepts only exact-zero scores, which is what a
     duplicate-heavy pool calibrates to. Infinity is not: JSON has no such number.
     """
-    if not 0.0 <= threshold < math.inf:  # written so that NaN fails it
+    if type(threshold) is bool or not 0.0 <= threshold < math.inf:  # NaN fails it too
         raise DomainError(f"{name} must be non-negative and finite, got {threshold}")
-
-
-def _decide(a: Route, requests: Sequence[Route], threshold: float) -> list[MatchDecision]:
-    """Decisions for vehicle ``a`` against each request, in request order."""
-    return [
-        MatchDecision(
-            a_id=a.id,
-            r_id=r.id,
-            sm=sm,
-            threshold=threshold,
-            accepted=math.isfinite(sm) and sm <= threshold,
-        )
-        for r, sm in zip(requests, score_requests(a, requests))
-    ]
 
 
 def filter_pool(
@@ -73,7 +59,12 @@ def filter_pool(
     _check_threshold(threshold)
     vehicles = sorted(vehicle_routes, key=lambda x: x.id)
     requests = sorted(request_routes, key=lambda x: x.id)
-    return [d for a in vehicles for d in _decide(a, requests, threshold)]
+    table = score_table(vehicles, requests).tolist()
+    return [
+        MatchDecision(a.id, r.id, sm, threshold, math.isfinite(sm) and sm <= threshold)
+        for a, row in zip(vehicles, table)
+        for r, sm in zip(requests, row)
+    ]
 
 
 def rank_candidates(
@@ -88,9 +79,13 @@ def rank_candidates(
     back when the pool is small or mostly disjoint. Ties break on vehicle id.
     """
     _check_threshold(threshold)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    decisions = [d for a in vehicle_routes for d in _decide(a, [request], threshold)]
-    finite = [d for d in decisions if math.isfinite(d.sm)]
+    if type(k) is not int or k < 1:  # a bool is no count
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    column = score_table(vehicle_routes, [request])[:, 0].tolist()
+    finite = [
+        MatchDecision(a.id, request.id, sm, threshold, sm <= threshold)
+        for a, sm in zip(vehicle_routes, column)
+        if math.isfinite(sm)
+    ]
     finite.sort(key=lambda d: (d.sm, d.a_id))
     return finite[:k]

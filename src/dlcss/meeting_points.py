@@ -86,7 +86,7 @@ def load_meeting_points(source: str | Path) -> list[MeetingPoint]:
     """
     path = Path(source)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")  # spreadsheets write a BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -119,6 +119,13 @@ def test_negative_threshold_rejected(intact_grid, mini_pool):
         run_eval(mini_pool, intact_grid, threshold_m=-1.0)
 
 
+@pytest.mark.parametrize("threshold", [True, False])
+def test_bool_threshold_rejected(intact_grid, mini_pool, threshold):
+    """A bool is no threshold: ``emit_report`` would write it as JSON true."""
+    with pytest.raises(DomainError, match="threshold_m"):
+        run_eval(mini_pool, intact_grid, threshold_m=threshold)
+
+
 def test_report_invariant_under_pool_permutation(intact_grid, mini_pool):
     report = run_eval(mini_pool, intact_grid, threshold_m=5000.0)
     permuted = RoutePool(
@@ -317,6 +324,23 @@ def test_read_report_errors(tmp_path):
         path.write_text(json.dumps({**good, name: value}))
         with pytest.raises(ParseError, match=f"invalid report field '{name}'"):
             read_report(path)
+    contradictions = [  # each field well-typed, the whole inconsistent
+        ({"n_pairs": 1, "true_positives": 7, "true_negatives": 1}, "n_pairs"),
+        ({"n_pairs": 5}, "n_pairs"),
+        ({"rejection_rate": 0.25}, "rejection_rate"),
+        ({"tp_rate_among_accepted": 1.0}, "tp_rate_among_accepted"),
+        ({"true_positives": 0, "false_positives": 0, "true_negatives": 3,
+          "rejection_rate": 1.0, "tp_rate_among_accepted": 0.5}, "tp_rate_among_accepted"),
+    ]
+    for fields, name in contradictions:
+        path.write_text(json.dumps({**good, **fields}))
+        with pytest.raises(ParseError, match=name):
+            read_report(path)
+    empty = {**good, "n_pairs": 0, "true_positives": 0, "false_positives": 0,
+             "true_negatives": 0, "false_negatives": 0, "rejection_rate": 0.0,
+             "tp_rate_among_accepted": 0.0}
+    path.write_text(json.dumps(empty))
+    assert read_report(path).n_pairs == 0
     for text in ("NaN", "Infinity"):  # Python's json reads both
         path.write_text(json.dumps(good).replace("10.0", text))
         with pytest.raises(ParseError, match="'threshold_m'"):

@@ -3,12 +3,15 @@
 For any phase-one tile width, ``core.score_requests`` (a vehicle against
 many requests) must return exactly the reference sm of every request, and
 ``compute_dlcss`` (one pair through the same kernel) the reference segments
-and sm.
+and sm. ``core.score_table`` must do the same on both phase-two paths, for
+any block size and mask.
 """
 
 import random
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlcss import NO_OVERLAP, Coordinate, DlcssSegment, Route, compute_dlcss, filter_pool
@@ -30,8 +33,8 @@ lattice_points = st.builds(
 
 
 @st.composite
-def routes(draw, rid):
-    n = draw(st.integers(2, 60))  # drawn first: plain lists stay short
+def routes(draw, rid, max_points=60):
+    n = draw(st.integers(2, max_points))  # drawn first: plain lists stay short
     return Route(rid, draw(st.lists(lattice_points, min_size=n, max_size=n)))
 
 
@@ -72,6 +75,9 @@ def assert_bit_equal(a, requests):
             pairs = [compute_dlcss(a, r) for r in requests]
         assert got == want, budget
         assert all(type(sm) is float for sm in got)
+        with mock.patch.object(core, "TILE_CELLS", budget), \
+                mock.patch.object(core, "BATCH_MIN_PAIRS", 1):
+            assert core.score_requests(a, requests) == want, budget
         assert [res.sm for res in pairs] == want, budget
         assert [
             [(s.distance_m, s.a_index, s.r_index) for s in res.segments] for res in pairs
@@ -170,3 +176,120 @@ def test_filter_pool_jobs_split_whole_vehicles():
     assert [(d.a_id, d.r_id, d.sm) for d in serial] == [
         (a.id, r.id, compute_dlcss(a, r).sm) for a in vehicles for r in requests
     ]
+
+
+#: (TILE_CELLS, BLOCK_COLUMNS): the defaults, then blocks that split a vehicle's
+#: requests, and a pair's columns over several tiles.
+TABLE_BUDGETS = ((core.TILE_CELLS, core.BLOCK_COLUMNS), *zip(SMALL_BUDGETS, SMALL_BUDGETS))
+#: BATCH_MIN_PAIRS that put every call on one phase-two path: batched, per request.
+PATHS = (1, 10**9)
+
+
+@st.composite
+def tables(draw):
+    """1-4 vehicles, 1-6 requests (some copies of a vehicle or of an earlier
+    request, some reversed) and a mask (None: every pair) whose rows may be empty."""
+    vehicles = [draw(routes(f"v{k}", 30)) for k in range(draw(st.integers(1, 4)))]
+    requests = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "copy", "reversed"]))
+        if kind == "random":
+            requests.append(draw(routes(f"r{k}", 30)))
+        else:
+            points = draw(st.sampled_from(vehicles + requests)).points
+            requests.append(Route(f"r{k}", points[::-1] if kind == "reversed" else points))
+    cells = st.lists(st.booleans(), min_size=len(requests), max_size=len(requests))
+    rows = st.lists(cells, min_size=len(vehicles), max_size=len(vehicles))
+    mask = draw(st.none() | rows)
+    return vehicles, requests, None if mask is None else np.array(mask, dtype=bool)
+
+
+def reference_table(vehicles, requests, mask):
+    """The reference sm where ``mask``, NaN elsewhere, and the masked pairs' segments."""
+    want = np.full((len(vehicles), len(requests)), np.nan)
+    segments = []
+    for i, j in zip(*np.nonzero(mask)):
+        segments.append(reference_segments(vehicles[i], requests[j]))
+        want[i, j] = reference_sm(segments[-1], vehicles[i])
+    return want, segments
+
+
+def assert_table_bit_equal(vehicles, requests, mask=None):
+    full = np.ones((len(vehicles), len(requests)), bool) if mask is None else mask
+    want, want_segments = reference_table(vehicles, requests, full)
+    for tile, block in TABLE_BUDGETS:
+        with mock.patch.object(core, "TILE_CELLS", tile), \
+                mock.patch.object(core, "BLOCK_COLUMNS", block):
+            for path in PATHS:
+                with mock.patch.object(core, "BATCH_MIN_PAIRS", path):
+                    got = core.score_table(vehicles, requests, mask)
+                assert got.tobytes() == want.tobytes(), (tile, block, path)
+            batched = list(core._table_segments(vehicles, requests, full))
+        assert batched == want_segments, (tile, block)
+        assert all(type(x) is t for s in batched for seg in s for x, t in zip(seg, (float, int, int)))
+    walked = [
+        s
+        for i, row in enumerate(full)
+        if row.any()
+        for s in core._segments(vehicles[i], [requests[j] for j in np.flatnonzero(row)])
+    ]
+    assert walked == want_segments
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_table_equals_reference_on_both_paths(table):
+    assert_table_bit_equal(*table)
+
+
+def test_table_on_random_routes_with_a_sparse_mask():
+    rng = random.Random(23)
+    pool = [random_route(rng, rng.randint(2, 30), f"x{k}") for k in range(9)]
+    mask = np.array([[rng.random() < 0.3 for _ in pool] for _ in pool[:6]])
+    mask[2] = False  # a vehicle without pairs
+    assert_table_bit_equal(pool[:6], pool, mask)
+
+
+def test_table_with_signed_zero_and_repeated_points():
+    """(0.0, 0.0) and (-0.0, -0.0) are the same place; a request may repeat a point."""
+    z, nz = Coordinate(0.0, 0.0), Coordinate(-0.0, -0.0)
+    east = Coordinate(0.0, 0.001)
+    vehicles = [Route("a", [nz, east, Coordinate(0.001, 0.001)]), Route("b", [east, z])]
+    requests = [Route("p", [z, z, east]), Route("n", [nz, east, nz]), Route("e", [east, east])]
+    assert_table_bit_equal(vehicles, requests)
+
+
+def test_pair_whose_row_picks_step_back_twice():
+    """Vehicle rows 0-2 lie 100 m apart; request point j lies near row ``near[j]``,
+    ``north[j]`` metres off. Row 1's best (j=0) and row 2's best (j=1) fall
+    behind row 0's pick (j=2), and row 2's next (j=3) behind row 1's (j=4):
+    the batched walk accepts one row per round, in three rounds."""
+    step = 100.0 / 111_195.0  # degrees of latitude per 100 m
+    a = Route("a", [Coordinate(LAT0, LON0 + k * step * 1.6) for k in range(3)])
+    near, north = (1, 2, 0, 2, 1, 2), (1.0, 1.0, 1.0, 5.0, 5.0, 10.0)
+    r = Route("r", [
+        Coordinate(LAT0 + m / 111_195.0, a.points[i].lon) for i, m in zip(near, north)
+    ])
+    want = reference_segments(a, r)
+    assert [(i, j) for _, i, j in want] == [(0, 2), (1, 4), (2, 5)]
+    assert list(core._table_segments([a], [r], np.ones((1, 1), bool))) == [want]
+    assert_table_bit_equal([a, r], [r, a])
+
+
+def test_small_calls_walk_each_request():
+    """Below BATCH_MIN_PAIRS pairs, as one vehicle against a meeting search's
+    13 trial routes, no batched phase two runs."""
+    rng = random.Random(24)
+    a = lattice_route(rng, "a")
+    small = [lattice_route(rng, f"r{k}") for k in range(13)]
+    assert 13 < core.BATCH_MIN_PAIRS
+    with mock.patch.object(core, "_table_segments", side_effect=AssertionError):
+        assert core.score_requests(a, small) == [compute_dlcss(a, r).sm for r in small]
+        with pytest.raises(AssertionError):
+            core.score_table([a], small * core.BATCH_MIN_PAIRS)
+
+
+def test_table_rejects_a_mask_of_another_shape():
+    a = Route("a", [Coordinate(LAT0, LON0), Coordinate(LAT0, LON0 + STEP)])
+    with pytest.raises(core.DomainError, match="mask shape"):
+        core.score_table([a], [a, a], np.ones((2, 1), bool))

@@ -142,7 +142,14 @@ def test_rank_candidates_saturation_and_validation():
         rank_candidates(request, pool, k=0)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None, 0, -1])
+def test_rank_candidates_rejects_bad_k(k):
+    pool = small_pool(17, 3, "v")
+    with pytest.raises(DomainError, match="k must be"):
+        rank_candidates(pool[0], pool, k=k)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf, True])
 def test_rank_candidates_rejects_bad_threshold(threshold):
     pool = small_pool(16, 2, "v")
     with pytest.raises(DomainError, match="threshold"):

@@ -152,6 +152,17 @@ def test_load_meeting_points_without_label_column(tmp_path):
     assert load_meeting_points(csv_path)[0].label is None
 
 
+def test_load_meeting_points_after_a_byte_order_mark(tmp_path):
+    """Spreadsheet exports start the file with a UTF-8 BOM."""
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("id,lat,lon,label\nmp-1,50.75,6.08,North\n", encoding="utf-8-sig")
+    assert csv_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    points = load_meeting_points(csv_path)
+    assert [(p.id, p.location, p.label) for p in points] == [
+        ("mp-1", Coordinate(50.75, 6.08), "North")
+    ]
+
+
 def test_load_rejects_bad_header(tmp_path):
     csv_path = tmp_path / "points.csv"
     csv_path.write_text("name,x,y\nmp-1,50.75,6.08\n")
