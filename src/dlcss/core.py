@@ -33,9 +33,10 @@ NO_OVERLAP = math.inf
 #: 65,536 beat 16,384 by 8-20% on grid pools and 100-point routes, 262,144 did not.
 TILE_CELLS = 65_536
 
-#: Pairs from which ``score_table`` runs phase two for all pairs at once. Both
-#: paths took the same time for 1 vehicle x 99 grid-pool requests; below that,
-#: one walk per request is faster.
+#: Pairs from which ``score_table`` runs phase two for all pairs at once and
+#: scores columns. Both paths took about the same time for 1 vehicle x 99
+#: grid-pool requests (batched 1.01-1.12x the walk); below that, one walk per
+#: request is faster (1.5-1.9x at a meeting search's 13).
 BATCH_MIN_PAIRS = 100
 
 #: Request columns (and vehicle rows) per phase-two block of ``_table_segments``.
@@ -50,7 +51,8 @@ _BAND_REL, _BAND_ABS = 1e-9, 4 * 64 * float(np.finfo(np.float64).eps)
 class DlcssSegment(NamedTuple):
     """One closed line segment linking vehicle point ``a_index`` to request point ``r_index``.
 
-    Bulk scoring carries the same triples as plain tuples.
+    Scoring carries the same triples as plain tuples per pair, or as
+    ``SegmentColumns`` per block of a batched table.
     """
 
     distance_m: float
@@ -200,12 +202,44 @@ def _walk_pairs(
     return done, low[done], first[done]
 
 
-def _block_segments(rows_u, dists_u, local, point_of, col_start, n_cols, n_rows) -> list:
-    """Segment lists of one block's pairs, in order: pair k is vehicle ``local[k]``
-    (a row of the phase-one tables ``rows_u`` and ``dists_u``, by distinct
-    point) against the ``n_cols[k]`` request columns from ``col_start[k]``
+class SegmentColumns(NamedTuple):
+    """The segments of a block of pairs as flat arrays: ``similarity_metric``'s
+    columnar input. Pairs follow each other, and a pair's segments ascend in
+    ``a_index``, as in its segment list.
+    """
+
+    vehicle: np.ndarray  # per pair: its vehicle's row of the table
+    count: np.ndarray  # per pair: its number of segments, at least 1
+    distance_m: np.ndarray  # per segment, as in DlcssSegment
+    a_index: np.ndarray
+    r_index: np.ndarray
+
+
+class VehicleLegs(NamedTuple):
+    """A table's vehicles for ``similarity_metric``'s columnar input: every
+    vehicle's ``leg_lengths_m``, concatenated, with the position of its first
+    leg and its ``geo.route_length``."""
+
+    legs: np.ndarray
+    first: np.ndarray
+    length_m: np.ndarray
+
+    @classmethod
+    def of(cls, vehicles: Sequence[Route]) -> VehicleLegs:
+        counts = [len(a.leg_lengths_m) for a in vehicles]
+        legs = itertools.chain.from_iterable(a.leg_lengths_m for a in vehicles)
+        return cls(
+            np.fromiter(legs, float, sum(counts)),
+            np.cumsum([0, *counts[:-1]]),
+            np.array([geo.route_length(a) for a in vehicles], float),
+        )
+
+
+def _block_segments(rows_u, dists_u, vehicle, local, point_of, col_start, n_cols, n_rows):
+    """``SegmentColumns`` of one block: pair k is vehicle ``vehicle[k]``, row
+    ``local[k]`` of the phase-one tables ``rows_u`` and ``dists_u`` (by distinct
+    point), against the ``n_cols[k]`` request columns from ``col_start[k]``
     (distinct points ``point_of``), with ``n_rows[k]`` vehicle points.
-    Arrays die with the call; only the segments outlive it.
     """
     pair_of = np.repeat(np.arange(len(n_cols)), n_cols)
     j = np.arange(len(pair_of)) - (np.cumsum(n_cols) - n_cols)[pair_of]
@@ -213,13 +247,12 @@ def _block_segments(rows_u, dists_u, local, point_of, col_start, n_cols, n_rows)
     row0, bucket_pair = np.cumsum(n_rows) - n_rows, np.repeat(np.arange(len(n_rows)), n_rows)
     picked, d, j_picked = _walk_pairs(row0[pair_of] + rows_u[cell], bucket_pair, j, dists_u[cell])
     pair = bucket_pair[picked]
-    triples = list(zip(d.tolist(), (picked - row0[pair]).tolist(), j_picked.tolist()))
-    bounds = np.cumsum(np.bincount(pair, minlength=len(n_cols))).tolist()
-    return [triples[start:stop] for start, stop in zip([0, *bounds], bounds)]
+    count = np.bincount(pair, minlength=len(n_cols))
+    return SegmentColumns(vehicle, count, d, picked - row0[pair], j_picked)
 
 
 def _table_segments(vehicles: Sequence[Route], requests: Sequence[Route], mask: np.ndarray):
-    """Segment lists of the pairs where ``mask``, in row-major order, all pairs at once.
+    """``SegmentColumns`` of the pairs where ``mask``, in row-major order, block by block.
 
     Phase one runs once per vehicle over the distinct request points of its
     pairs. That is exact: a column's result reads only that column of
@@ -235,41 +268,88 @@ def _table_segments(vehicles: Sequence[Route], requests: Sequence[Route], mask: 
     key = np.ascontiguousarray(q[4:].T).view(np.dtype((np.void, 16))).ravel()
     _, first, point_of = np.unique(key, return_index=True, return_inverse=True)
     q, request_of, col0 = q[:, first], np.repeat(np.arange(len(lens)), lens), np.cumsum(lens) - lens
-    qu = _unit_vectors(q)
-    nearest = {}  # vehicle: (rows, dists) over the distinct points, kept while its pairs last
+    qu, n_points = _unit_vectors(q), len(first)
     size_to = np.cumsum(np.maximum(lens[pj], vlens[pi]))
-    b0 = 0
+    b0, kept = 0, None  # kept: the previous block's last vehicle and its phase-one rows
     while b0 < len(pi):
         limit = size_to[b0] - max(lens[pj[b0]], vlens[pi[b0]]) + BLOCK_COLUMNS
         b1 = max(b0 + 1, int(np.searchsorted(size_to, limit, side="right")))
         bi, bj = pi[b0:b1], pj[b0:b1]
         vs, local = np.unique(bi, return_inverse=True)
-        nearest = {v: nearest[v] for v in nearest if v == vs[0]}
-        for v in vs.tolist():
-            if v not in nearest:
-                pts = np.flatnonzero(np.bincount(point_of[mask[v][request_of]], minlength=q.shape[1]))
-                p = vehicles[v].point_array
-                rows, dists = np.empty(q.shape[1], np.intp), np.empty(q.shape[1])
-                rows[pts], dists[pts] = _phase_one(p, _unit_vectors(p), q[:, pts], qu[:, pts])
-                nearest[v] = rows, dists
-        rows_u, dists_u = (np.stack([nearest[v][k] for v in vs]) for k in (0, 1))
-        yield from _block_segments(rows_u, dists_u, local, point_of, col0[bj], lens[bj], vlens[bi])
+        rows_u, dists_u = np.empty((len(vs), n_points), np.intp), np.empty((len(vs), n_points))
+        for k, v in enumerate(vs.tolist()):
+            if kept is not None and kept[0] == v:
+                rows_u[k], dists_u[k] = kept[1:]
+                continue
+            p = vehicles[v].point_array
+            pts = np.flatnonzero(np.bincount(point_of[mask[v][request_of]], minlength=n_points))
+            if len(pts) == n_points:  # every distinct point: no gather
+                rows_u[k], dists_u[k] = _phase_one(p, _unit_vectors(p), q, qu)
+            else:
+                rows_u[k, pts], dists_u[k, pts] = _phase_one(
+                    p, _unit_vectors(p), q[:, pts], qu[:, pts]
+                )
+        kept = vs[-1], rows_u[-1], dists_u[-1]
+        yield _block_segments(rows_u, dists_u, bi, local, point_of, col0[bj], lens[bj], vlens[bi])
         b0 = b1
 
 
-def similarity_metric(segments: Sequence[tuple[float, int, int]], a: Route) -> float:
+def _left_sums(values: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``geo.left_sum(values[start[k] : start[k] + count[k]])`` for every k.
+
+    In rounds over position: with the runs by descending count, round i adds
+    the i-th value of every run longer than i, so each run adds its values
+    left to right from 0.0. (``np.add.reduceat`` and prefix-sum differences
+    add in other orders.)
+    """
+    order = np.argsort(-count, kind="stable")
+    start, count = start[order], count[order]
+    total = np.zeros(len(order))
+    longest = int(count[0]) if len(count) else 0
+    for i, n in enumerate(np.searchsorted(-count, -np.arange(longest), "left").tolist()):
+        total[:n] += values[start[:n] + i]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def similarity_metric(
+    segments: Sequence[tuple[float, int, int]] | SegmentColumns, a: Route | VehicleLegs
+) -> float | np.ndarray:
     """Score ``DlcssSegment``s or plain triples: (full length / matched span length) * segment sum.
 
     The matched span is the stretch of A between the first and last matched
     vehicle points. A longer overlap shrinks the penalty factor towards 1;
     large point-to-point distances grow the sum. Returns NO_OVERLAP when the
     span has zero length and the ratio is undefined.
+
+    Two input forms, one arithmetic: a pair's segment list with its vehicle
+    ``a`` (a ``Route``) gives a float; a block's ``SegmentColumns`` with ``a``
+    the table's ``VehicleLegs`` gives a float64 array, one sm per pair. Both
+    add their sums left to right from 0.0 (``geo.left_sum``).
     """
+    if isinstance(segments, SegmentColumns):
+        return _column_metric(segments, a)
     if not segments:
         raise DomainError("cannot score an empty segment list")
     l_sub_a = geo.arc_length_between(a, segments[0][1], segments[-1][1])
-    sum_m = sum([s[0] for s in segments])  # from int 0, as compute_dlcss sums
+    sum_m = geo.left_sum([s[0] for s in segments])
     return NO_OVERLAP if l_sub_a == 0.0 else (geo.route_length(a) / l_sub_a) * sum_m
+
+
+def _column_metric(c: SegmentColumns, vehicles: VehicleLegs) -> np.ndarray:
+    """``similarity_metric``'s columnar form."""
+    if np.any(c.count < 1):
+        raise DomainError("cannot score an empty segment list")
+    end = np.cumsum(c.count)
+    start = end - c.count
+    first, last = c.a_index[start], c.a_index[end - 1]
+    l_sub_a = _left_sums(vehicles.legs, vehicles.first[c.vehicle] + first, last - first)
+    sum_m = _left_sums(c.distance_m, start, c.count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sm = (vehicles.length_m[c.vehicle] / l_sub_a) * sum_m
+    sm[l_sub_a == 0.0] = NO_OVERLAP
+    return sm
 
 
 def compute_dlcss(a: Route, r: Route) -> DlcssResult:
@@ -277,7 +357,7 @@ def compute_dlcss(a: Route, r: Route) -> DlcssResult:
     segments = tuple(map(DlcssSegment._make, _segments(a, [r])[0]))
     return DlcssResult(
         segments=segments,
-        sum_segments_m=sum(s.distance_m for s in segments),
+        sum_segments_m=geo.left_sum(s.distance_m for s in segments),
         l_sub_a_m=geo.arc_length_between(a, segments[0].a_index, segments[-1].a_index),
         l_a_m=geo.route_length(a),
         sm=similarity_metric(segments, a),
@@ -298,16 +378,19 @@ def score_table(
     if mask.shape != shape:
         raise DomainError(f"mask shape {mask.shape} differs from the table's {shape}")
     pi, pj = np.nonzero(mask)
+    table = np.full(shape, np.nan)
     if len(pi) >= BATCH_MIN_PAIRS:
-        segments = _table_segments(vehicles, requests, mask)
+        legs = VehicleLegs.of(vehicles)
+        blocks = _table_segments(vehicles, requests, mask)
+        table[pi, pj] = np.concatenate([similarity_metric(c, legs) for c in blocks])
     else:
         rows = itertools.groupby(zip(pi.tolist(), pj.tolist()), key=operator.itemgetter(0))
-        segments = (
-            s for i, row in rows for s in _segments(vehicles[i], [requests[j] for _, j in row])
+        sms = (
+            similarity_metric(s, vehicles[i])
+            for i, row in rows
+            for s in _segments(vehicles[i], [requests[j] for _, j in row])
         )
-    table = np.full(shape, np.nan)
-    sms = (similarity_metric(s, vehicles[i]) for i, s in zip(pi.tolist(), segments))
-    table[pi, pj] = np.fromiter(sms, float, len(pi))
+        table[pi, pj] = np.fromiter(sms, float, len(pi))
     return table
 
 

@@ -13,15 +13,15 @@ import json
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import core, routing
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_integer
 from .matching import DEFAULT_THRESHOLD_M, _check_threshold
 from .pools import RoutePool
 from .routing import GridGraph
@@ -89,7 +89,8 @@ def _max_finite_sm(table: np.ndarray, mask: np.ndarray, default_m: float) -> flo
 
 
 def _judge(routes, fractions: np.ndarray, table: np.ndarray, mask: np.ndarray, threshold_m: float):
-    """PairOutcome of every pair in ``mask``, in (a_id, r_id) order.
+    """PairOutcome of every pair in ``mask``, in (a_id, r_id) order, and their
+    confusion counts as an array indexed by 2 * accepted + compatible.
 
     Built from flat row-major columns. ``sm <= threshold_m`` rejects
     NO_OVERLAP because every caller's threshold is finite.
@@ -99,7 +100,9 @@ def _judge(routes, fractions: np.ndarray, table: np.ndarray, mask: np.ndarray, t
     sm, frac = table[mask], fractions[mask]
     accepted, compatible = sm <= threshold_m, frac <= routing.DETOUR_LIMIT_FRACTION
     columns = (sm.tolist(), frac.tolist(), accepted.tolist(), compatible.tolist())
-    return list(map(PairOutcome, a_ids, r_ids, *columns))
+    # tuple.__new__ skips the named tuple's own __new__: ~1.5x faster per pool
+    outcomes = list(map(tuple.__new__, repeat(PairOutcome), zip(a_ids, r_ids, *columns)))
+    return outcomes, np.bincount(2 * accepted + compatible, minlength=4)
 
 
 def calibrate_threshold(
@@ -135,8 +138,9 @@ def run_eval(pool: RoutePool, g: GridGraph, threshold_m: float) -> EvalReport:
     mask = _pairs(np.ones(len(routes), bool))
     table = core.score_table(routes, routes, mask)
     t2 = time.perf_counter()
-    outcomes = _judge(routes, fractions, table, mask, threshold_m)
-    return _aggregate(outcomes, threshold_m, _runtime_ms(t0, t1, t2, time.perf_counter()))
+    outcomes, counts = _judge(routes, fractions, table, mask, threshold_m)
+    runtime_ms = _runtime_ms(t0, t1, t2, time.perf_counter())
+    return _aggregate(outcomes, counts, threshold_m, runtime_ms)
 
 
 def _runtime_ms(t0: float, t1: float, t2: float, t3: float) -> dict:
@@ -149,10 +153,11 @@ def _runtime_ms(t0: float, t1: float, t2: float, t3: float) -> dict:
     }
 
 
-def _aggregate(outcomes: list[PairOutcome], threshold_m: float, runtime_ms: dict) -> EvalReport:
-    counts = Counter((o.accepted, o.compatible) for o in outcomes)
-    tp, fp = counts[True, True], counts[True, False]
-    tn, fn = counts[False, False], counts[False, True]
+def _aggregate(
+    outcomes: list[PairOutcome], counts: np.ndarray, threshold_m: float, runtime_ms: dict
+) -> EvalReport:
+    """The report of ``outcomes``, whose ``_judge`` counts are ``counts``."""
+    tn, fn, fp, tp = counts.tolist()  # Python ints, as JSON and read_report need
     n = len(outcomes)
     rejection_rate, tp_rate = _rates(n, tp, fp, tn, fn)
     return EvalReport(
@@ -190,8 +195,7 @@ def cross_validated_eval(
     The pool is labeled once, and every pair is scored at most once.
     """
     routes = sorted(pool.routes, key=lambda r: r.id)
-    if folds < 2 or folds > len(routes) // 2:
-        raise DomainError(f"folds must be in [2, n_routes/2], got {folds}")
+    folds = check_integer(folds, "folds", 2, len(routes) // 2)
     _check_threshold(default_m, "default_m")
     order = list(range(len(routes)))
     random.Random(seed).shuffle(order)
@@ -208,12 +212,15 @@ def cross_validated_eval(
     t2 = time.perf_counter()
     outcomes: list[PairOutcome] = []
     thresholds: list[float] = []
+    counts = np.zeros(4, int)
     # folds <= n_routes/2 deals every fold at least 2 routes
     for held_pairs, train_pairs in zip(held, train):
         thresholds.append(_max_finite_sm(table, train_pairs, default_m))
-        outcomes.extend(_judge(routes, fractions, table, held_pairs, thresholds[-1]))
+        fold, fold_counts = _judge(routes, fractions, table, held_pairs, thresholds[-1])
+        outcomes.extend(fold)
+        counts += fold_counts
     runtime_ms = _runtime_ms(t0, t1, t2, time.perf_counter())
-    return _aggregate(outcomes, max(thresholds), runtime_ms)
+    return _aggregate(outcomes, counts, max(thresholds), runtime_ms)
 
 
 def report_to_json_dict(report: EvalReport) -> dict:

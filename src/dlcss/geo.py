@@ -114,9 +114,21 @@ def distances(p, q) -> np.ndarray:
     return d
 
 
+def left_sum(values) -> float:
+    """Floats added one at a time, left to right, from 0.0.
+
+    The one summation order of the metric's lengths and sums. Builtin ``sum``
+    follows it only before Python 3.12, which compensates float sums.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def route_length(r: Route) -> float:
     """Polyline length: sum of consecutive-point distances, in meters."""
-    return sum(r.leg_lengths_m, 0.0)
+    return left_sum(r.leg_lengths_m)
 
 
 def arc_length_between(r: Route, i: int, j: int) -> float:
@@ -124,4 +136,4 @@ def arc_length_between(r: Route, i: int, j: int) -> float:
     n = len(r.points)
     if not (0 <= i <= j < n):
         raise DomainError(f"invalid arc span [{i}, {j}] for {n} points")
-    return sum(r.leg_lengths_m[i:j], 0.0)
+    return left_sum(r.leg_lengths_m[i:j])

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import score_requests, score_table
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .geo import Route
 
 DEFAULT_THRESHOLD_M = 20_000.0
@@ -42,7 +44,8 @@ def _check_threshold(threshold: float, name: str = "threshold") -> None:
     Zero is legal: it accepts only exact-zero scores, which is what a
     duplicate-heavy pool calibrates to. Infinity is not: JSON has no such number.
     """
-    if type(threshold) is bool or not 0.0 <= threshold < math.inf:  # NaN fails it too
+    # a bool, numpy's too, is no number here; NaN fails the range
+    if isinstance(threshold, (bool, np.bool_)) or not 0.0 <= threshold < math.inf:
         raise DomainError(f"{name} must be non-negative and finite, got {threshold}")
 
 
@@ -79,8 +82,7 @@ def rank_candidates(
     back when the pool is small or mostly disjoint. Ties break on vehicle id.
     """
     _check_threshold(threshold)
-    if type(k) is not int or k < 1:  # a bool is no count
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    k = check_integer(k, "k", 1)
     column = score_table(vehicle_routes, [request])[:, 0].tolist()
     finite = [
         MatchDecision(a.id, request.id, sm, threshold, sm <= threshold)

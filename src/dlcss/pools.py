@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import geo
-from .errors import DomainError, GenerationError, ParseError
+from .errors import DomainError, GenerationError, ParseError, check_integer
 from .geo import COORD_DECIMALS, Coordinate, Route
 from .routing import GridGraph
 
@@ -47,8 +47,7 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
     the resulting route is at least ``min_length_m`` long. Deterministic per
     seed. Raises GenerationError when ``min_length_m`` is unattainable.
     """
-    if n < 1:
-        raise DomainError(f"pool size must be >= 1, got {n}")
+    n = check_integer(n, "pool size n", 1)
     if not min_length_m >= 0.0:  # written so that NaN fails it
         raise DomainError(f"min_length_m must be >= 0, got {min_length_m}")
     rng = random.Random(seed)

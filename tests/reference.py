@@ -48,20 +48,29 @@ def reference_segments(a: Route, r: Route) -> list[tuple[float, int, int]]:
     return segments
 
 
+def left_to_right_sum(values) -> float:
+    """Floats added one at a time from 0.0 (builtin ``sum`` compensates since Python 3.12)."""
+    total = 0.0
+    for x in values:
+        total = total + x
+    return total
+
+
 def reference_sm(segments: list[tuple[float, int, int]], a: Route) -> float:
-    """Similarity score recomputed from scratch, same arithmetic order as spec'd."""
+    """Similarity score recomputed from scratch, same arithmetic order as spec'd:
+    every sum left to right."""
     if not segments:
         raise ValueError("no segments")
     legs = [
         geo.distance(a.points[k], a.points[k + 1]) for k in range(len(a.points) - 1)
     ]
-    l_a = sum(legs, 0.0)
+    l_a = left_to_right_sum(legs)
     first = segments[0][1]
     last = segments[-1][1]
-    l_sub = sum(legs[first:last], 0.0)
+    l_sub = left_to_right_sum(legs[first:last])
     if l_sub == 0.0:
         return math.inf
-    return (l_a / l_sub) * sum(s[0] for s in segments)
+    return (l_a / l_sub) * left_to_right_sum(s[0] for s in segments)
 
 
 def bellman_ford_path(g: GridGraph, source: int, destination: int) -> list[int]:

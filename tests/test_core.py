@@ -17,7 +17,7 @@ from dlcss import (
     metric_sweep,
     similarity_metric,
 )
-from dlcss import core
+from dlcss import core, geo
 
 from reference import reference_segments, reference_sm
 from test_geo import LAT_STEP_M, pairwise_distances_m, random_route
@@ -173,9 +173,27 @@ def test_similarity_metric_arithmetic():
     assert similarity_metric(zeros, a) == 0.0
 
 
+def test_sums_run_left_to_right():
+    """Ten 0.1 m segments over a full-span vehicle score the left-to-right sum,
+    0.9999999999999999, in both input forms. Builtin ``sum`` gives it only
+    before Python 3.12, and 1.0 after."""
+    a = corridor(10, "a")
+    tenths = [(0.1, k, k) for k in range(10)]
+    assert geo.left_sum([0.1] * 10) == 0.9999999999999999
+    assert similarity_metric(tenths, a) == reference_sm(tenths, a) == 0.9999999999999999
+    columns = core.SegmentColumns(
+        np.array([0]), np.array([10]), np.full(10, 0.1), np.arange(10), np.arange(10)
+    )
+    assert similarity_metric(columns, core.VehicleLegs.of([a])).tolist() == [0.9999999999999999]
+
+
 def test_similarity_metric_rejects_empty():
+    a = corridor(3, "a")
     with pytest.raises(DomainError):
-        similarity_metric([], corridor(3, "a"))
+        similarity_metric([], a)
+    one_empty = core.SegmentColumns(*(np.array(x) for x in ([0, 0], [1, 0], [5.0], [1], [0])))
+    with pytest.raises(DomainError):
+        similarity_metric(one_empty, core.VehicleLegs.of([a]))
 
 
 def test_single_point_span_scores_no_overlap():

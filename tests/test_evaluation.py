@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dlcss import (
@@ -119,7 +120,7 @@ def test_negative_threshold_rejected(intact_grid, mini_pool):
         run_eval(mini_pool, intact_grid, threshold_m=-1.0)
 
 
-@pytest.mark.parametrize("threshold", [True, False])
+@pytest.mark.parametrize("threshold", [True, False, np.True_, np.False_])
 def test_bool_threshold_rejected(intact_grid, mini_pool, threshold):
     """A bool is no threshold: ``emit_report`` would write it as JSON true."""
     with pytest.raises(DomainError, match="threshold_m"):
@@ -162,6 +163,20 @@ def test_cross_validation_bounds(intact_grid, mini_pool):
         cross_validated_eval(mini_pool, intact_grid, folds=1)
     with pytest.raises(DomainError):
         cross_validated_eval(mini_pool, intact_grid, folds=5)  # 8 routes cap at 4
+
+
+@pytest.mark.parametrize("folds", [2.5, 2.0, True, "2", None, np.float64(3.0)])
+def test_cross_validation_rejects_folds_that_are_no_integer(intact_grid, mini_pool, folds):
+    with pytest.raises(DomainError, match="folds must be an integer"):
+        cross_validated_eval(mini_pool, intact_grid, folds=folds)
+
+
+def test_numpy_integer_counts_are_counts(intact_grid, mini_pool):
+    """numpy integers pass the integer rule: folds and k act as the ints."""
+    assert cross_validated_eval(mini_pool, intact_grid, folds=np.int64(2), seed=1) == \
+        cross_validated_eval(mini_pool, intact_grid, folds=2, seed=1)
+    routes = mini_pool.routes
+    assert rank_candidates(routes[0], routes, k=np.int64(2)) == rank_candidates(routes[0], routes, k=2)
 
 
 def test_cross_validation_aggregates_held_out_folds(intact_grid, mini_pool):

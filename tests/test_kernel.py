@@ -4,7 +4,8 @@ For any phase-one tile width, ``core.score_requests`` (a vehicle against
 many requests) must return exactly the reference sm of every request, and
 ``compute_dlcss`` (one pair through the same kernel) the reference segments
 and sm. ``core.score_table`` must do the same on both phase-two paths, for
-any block size and mask.
+any block size and mask, and ``similarity_metric``'s columnar form must score
+every pair of a block as its one-pair form does.
 """
 
 import random
@@ -214,6 +215,19 @@ def reference_table(vehicles, requests, mask):
     return want, segments
 
 
+def column_segments(vehicles, requests, mask):
+    """``_table_segments``' columns read back as one triple list per pair, after
+    checking that the pairs' vehicles are the mask's rows in row-major order."""
+    blocks = list(core._table_segments(vehicles, requests, mask))
+    assert [v for c in blocks for v in c.vehicle.tolist()] == np.nonzero(mask)[0].tolist()
+    out = []
+    for c in blocks:
+        triples = list(zip(c.distance_m.tolist(), c.a_index.tolist(), c.r_index.tolist()))
+        bounds = np.cumsum(c.count).tolist()
+        out.extend(triples[start:stop] for start, stop in zip([0, *bounds], bounds))
+    return out
+
+
 def assert_table_bit_equal(vehicles, requests, mask=None):
     full = np.ones((len(vehicles), len(requests)), bool) if mask is None else mask
     want, want_segments = reference_table(vehicles, requests, full)
@@ -224,7 +238,7 @@ def assert_table_bit_equal(vehicles, requests, mask=None):
                 with mock.patch.object(core, "BATCH_MIN_PAIRS", path):
                     got = core.score_table(vehicles, requests, mask)
                 assert got.tobytes() == want.tobytes(), (tile, block, path)
-            batched = list(core._table_segments(vehicles, requests, full))
+            batched = column_segments(vehicles, requests, full)
         assert batched == want_segments, (tile, block)
         assert all(type(x) is t for s in batched for seg in s for x, t in zip(seg, (float, int, int)))
     walked = [
@@ -272,7 +286,7 @@ def test_pair_whose_row_picks_step_back_twice():
     ])
     want = reference_segments(a, r)
     assert [(i, j) for _, i, j in want] == [(0, 2), (1, 4), (2, 5)]
-    assert list(core._table_segments([a], [r], np.ones((1, 1), bool))) == [want]
+    assert column_segments([a], [r], np.ones((1, 1), bool)) == [want]
     assert_table_bit_equal([a, r], [r, a])
 
 
@@ -287,6 +301,58 @@ def test_small_calls_walk_each_request():
         assert core.score_requests(a, small) == [compute_dlcss(a, r).sm for r in small]
         with pytest.raises(AssertionError):
             core.score_table([a], small * core.BATCH_MIN_PAIRS)
+
+
+#: Segment distances: zero, repeated values, and arbitrary ones whose sum rounds.
+segment_distances = st.sampled_from([0.0, 0.1, 37.5]) | st.floats(0.0, 5e3)
+
+
+@st.composite
+def column_blocks(draw):
+    """1-4 vehicles (some of zero length: one point repeated) and 1-12 pairs of
+    them. A pair's segments sit at one vehicle point (NO_OVERLAP), at every
+    point, or at some, so that counts in a block differ widely."""
+    vehicles = []
+    for k in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            vehicles.append(draw(routes(f"v{k}")))
+        else:
+            vehicles.append(Route(f"v{k}", [draw(lattice_points)] * draw(st.integers(2, 6))))
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        v = draw(st.integers(0, len(vehicles) - 1))
+        n = len(vehicles[v].points)
+        kind = draw(st.sampled_from(["one", "every", "some"]))
+        if kind == "one":
+            rows = [draw(st.integers(0, n - 1))]
+        elif kind == "every":
+            rows = list(range(n))
+        else:
+            rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        dists = draw(st.lists(segment_distances, min_size=len(rows), max_size=len(rows)))
+        pairs.append((v, [(d, i, j) for j, (d, i) in enumerate(zip(dists, rows))]))
+    return vehicles, pairs
+
+
+def as_columns(pairs):
+    segments = [s for _, pair in pairs for s in pair]
+    return core.SegmentColumns(
+        np.array([v for v, _ in pairs]),
+        np.array([len(pair) for _, pair in pairs]),
+        *(np.array(x) for x in zip(*segments)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(column_blocks())
+def test_columnar_score_equals_one_pair_form(block):
+    """A block's columns score every pair exactly as its segment list does."""
+    vehicles, pairs = block
+    got = core.similarity_metric(as_columns(pairs), core.VehicleLegs.of(vehicles))
+    want = [core.similarity_metric(segments, vehicles[v]) for v, segments in pairs]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert want == [reference_sm(segments, vehicles[v]) for v, segments in pairs]
 
 
 def test_table_rejects_a_mask_of_another_shape():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dlcss import (
@@ -142,14 +143,16 @@ def test_rank_candidates_saturation_and_validation():
         rank_candidates(request, pool, k=0)
 
 
-@pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None, 0, -1])
+@pytest.mark.parametrize(
+    "k", [1.5, 2.0, True, "2", None, 0, -1, np.True_, np.float64(3.0), np.int64(0)]
+)
 def test_rank_candidates_rejects_bad_k(k):
     pool = small_pool(17, 3, "v")
     with pytest.raises(DomainError, match="k must be"):
         rank_candidates(pool[0], pool, k=k)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf, True])
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf, True, np.True_, np.False_])
 def test_rank_candidates_rejects_bad_threshold(threshold):
     pool = small_pool(16, 2, "v")
     with pytest.raises(DomainError, match="threshold"):

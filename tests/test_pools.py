@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dlcss import (
@@ -52,6 +53,18 @@ def test_generate_unattainable_min_length(intact_grid):
     # the 12x12 grid cannot produce 100 km routes
     with pytest.raises(GenerationError):
         generate_pool(intact_grid, n=1, seed=0, min_length_m=100_000.0)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None, np.float64(3.0), np.True_, np.int64(0)])
+def test_generate_rejects_a_pool_size_that_is_no_integer_count(intact_grid, n):
+    with pytest.raises(DomainError, match="pool size n must be an integer"):
+        generate_pool(intact_grid, n=n, seed=0)
+
+
+def test_generate_takes_a_numpy_integer_pool_size(intact_grid):
+    pool = generate_pool(intact_grid, n=np.int64(3), seed=4)
+    assert type(pool.metadata["n"]) is int
+    assert pool.routes == generate_pool(intact_grid, n=3, seed=4).routes
 
 
 def test_generate_validation(intact_grid):

@@ -23,6 +23,7 @@ from dlcss import (
     shortest_route,
 )
 
+from dlcss.geo import left_sum
 from dlcss.routing import detour_fractions
 
 from reference import bellman_ford_path
@@ -124,7 +125,7 @@ def test_path_cost_equals_distance_field(default_grid):
         s, d = rng.sample(range(g.num_nodes), 2)
         path = g.path_nodes(s, d)
         legs = [distance(g.node(u), g.node(v)) for u, v in zip(path, path[1:])]
-        assert sum(legs, 0.0) == g.source_distances(s)[d]
+        assert left_sum(legs) == g.source_distances(s)[d]
 
 
 def test_dijkstra_matches_bellman_ford(intact_grid, default_grid):
@@ -272,6 +273,42 @@ def test_detour_fractions_equal_single_pair_oracle(intact_grid):
     stub = [r.id for r in routes].index("stub")
     assert np.isinf(fractions[stub]).all()
     assert np.isfinite(np.delete(fractions[:, stub], stub)).any()
+
+
+@st.composite
+def grids_and_pools(draw):
+    """A small seeded grid, a pool of its routes with zero-length routes among
+    them (one point twice: a node or a point inside the grid), shuffled, and a
+    route whose end lies off the grid."""
+    g = GridGraph.build(
+        draw(st.integers(2, 8)), draw(st.integers(2, 8)),
+        Coordinate(draw(st.floats(-60.0, 60.0)), draw(st.floats(-10.0, 10.0))),
+        draw(st.floats(50.0, 1000.0)), draw(st.floats(0.0, 0.4)), draw(st.integers(0, 9)),
+    )
+    routes = list(generate_pool(g, draw(st.integers(1, 6)), draw(st.integers(0, 99))).routes)
+    (lat0, lon0), (lat1, lon1) = ((c.lat, c.lon) for c in (g.node(0), g.node(g.num_nodes - 1)))
+    for k in range(draw(st.integers(0, 2))):
+        u, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        p = draw(st.sampled_from([
+            g.node(draw(st.integers(0, g.num_nodes - 1))),
+            Coordinate(lat0 + u * (lat1 - lat0), lon0 + v * (lon1 - lon0)),
+        ]))
+        routes.append(Route(f"zero{k}", (p, p)))
+    routes = draw(st.permutations(routes))
+    off_grid = Route("off-grid", (routes[0].points[0], Coordinate(lat1 + 0.01, lon0)))
+    return g, routes, off_grid, draw(st.integers(0, len(routes)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grids_and_pools())
+def test_detour_fractions_equal_single_pair_oracle_on_random_grids(case):
+    g, routes, off_grid, at = case
+    single = GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, g.removal_fraction, g.seed)
+    fractions = detour_fractions(g, routes)
+    want = [[assess_shared_ride(single, a, r).detour_fraction for r in routes] for a in routes]
+    assert fractions.tobytes() == np.array(want).tobytes()
+    with pytest.raises(DomainError, match="route 'off-grid' has no grid label"):
+        detour_fractions(g, routes[:at] + [off_grid] + routes[at:])
 
 
 def test_detour_fractions_of_empty_and_one_route_pools(intact_grid):
