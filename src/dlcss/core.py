@@ -29,9 +29,12 @@ from .geo import Route
 #: matched point). Compares greater than every finite score.
 NO_OVERLAP = math.inf
 
-#: Cells per phase-one tile (I vehicle points times TILE_CELLS // I request points):
-#: 65,536 beat 16,384 by 8-20% on grid pools and 100-point routes, 262,144 did not.
-TILE_CELLS = 65_536
+#: Cells per phase-one tile (I vehicle points times TILE_CELLS // I request points).
+#: 131,072 puts a 100-point vehicle against 1,000 columns in one tile: phase one
+#: of 40 such vehicles took 0.83x the time of 65,536 (2 tiles each), and 262,144
+#: the same as 131,072. A grid pool (~15 rows, ~370 distinct points) is one tile
+#: either way.
+TILE_CELLS = 131_072
 
 #: Pairs from which ``score_table`` runs phase two for all pairs at once and
 #: scores columns. Both paths took about the same time for 1 vehicle x 99
@@ -106,8 +109,11 @@ def _phase_one(p, pu, q, qu) -> tuple[np.ndarray, np.ndarray]:
     exceed the best row's (equal after rounding, or an np.arcsin ulp) has an
     h at most a few ulp above it: the relative part. A same-point cell, d = 0
     by the mask, has an h and a proxy within a few eps of 0, and no proxy lies
-    further below. Only columns with more than one cell in the band compare
-    exact distances. So a column's result reads only that column of ``q``.
+    further below. A column has more than one cell in its band iff its
+    runner-up (the best proxy with the candidate's set to -inf) reaches the
+    band's floor, as the candidate is always in its own band; only those
+    columns take their band and compare exact distances. So a column's result
+    reads only that column of ``q``.
     """
     total = q.shape[1]
     rows, dists = np.empty(total, dtype=np.intp), np.empty(total)
@@ -115,14 +121,16 @@ def _phase_one(p, pu, q, qu) -> tuple[np.ndarray, np.ndarray]:
     for c0 in range(0, total, width):
         tile = slice(c0, c0 + width)
         dot = qu[:, tile].T @ pu  # (columns, rows): nonzero runs column by column
+        at = np.arange(dot.shape[0])
         cand = dot.argmax(axis=1)
-        best = dot[np.arange(len(cand)), cand]
-        slack = 2.0 * (np.maximum(0.0, 0.5 * (1.0 - best)) * _BAND_REL + _BAND_ABS)
-        band = dot >= (best - slack)[:, None]
+        best = dot[at, cand]
+        floor = best - 2.0 * (np.maximum(0.0, 0.5 * (1.0 - best)) * _BAND_REL + _BAND_ABS)
         d = geo.distances(p[:, cand], q[:, tile])
-        tied = np.flatnonzero(np.count_nonzero(band, axis=1) > 1)
+        dot[at, cand] = -np.inf  # the runner-up is in the band iff the band has 2+ cells
+        tied = np.flatnonzero(dot[at, dot.argmax(axis=1)] >= floor)
         if len(tied):  # per tied column, the smallest d, then the smallest row
-            cols, rivals = np.nonzero(band[tied])
+            dot[tied, cand[tied]] = best[tied]
+            cols, rivals = np.nonzero(dot[tied] >= floor[tied, None])
             d_tied = geo.distances(p[:, rivals], q[:, c0 + tied[cols]])
             order = np.lexsort((d_tied, cols))  # stable: equal distances keep row order
             first = order[np.flatnonzero(np.diff(cols[order], prepend=-1))]
@@ -344,8 +352,12 @@ def _column_metric(c: SegmentColumns, vehicles: VehicleLegs) -> np.ndarray:
     end = np.cumsum(c.count)
     start = end - c.count
     first, last = c.a_index[start], c.a_index[end - 1]
-    l_sub_a = _left_sums(vehicles.legs, vehicles.first[c.vehicle] + first, last - first)
-    sum_m = _left_sums(c.distance_m, start, c.count)
+    # one set of rounds for both sums: the segment distances follow the legs
+    l_sub_a, sum_m = np.split(_left_sums(
+        np.concatenate((vehicles.legs, c.distance_m)),
+        np.concatenate((vehicles.first[c.vehicle] + first, len(vehicles.legs) + start)),
+        np.concatenate((last - first, c.count)),
+    ), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         sm = (vehicles.length_m[c.vehicle] / l_sub_a) * sum_m
     sm[l_sub_a == 0.0] = NO_OVERLAP

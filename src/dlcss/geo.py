@@ -81,9 +81,15 @@ class Route:
 
     @cached_property
     def point_array(self) -> np.ndarray:
-        """(6, n) float64 rows: sin phi, cos phi, sin lam, cos lam, lat, lon."""
-        rows = [(*_point_trig(p.lat, p.lon), p.lat, p.lon) for p in self.points]
-        return np.array(rows).T.copy()  # C-contiguous, so each row is one run
+        """(6, n) float64 rows: sin phi, cos phi, sin lam, cos lam, lat, lon.
+
+        Column k is ``_point_trig`` of point k and its lat, lon: the same libm
+        calls, made row by row.
+        """
+        lats, lons = [p.lat for p in self.points], [p.lon for p in self.points]
+        phi, lam = list(map(math.radians, lats)), list(map(math.radians, lons))
+        trig = [list(map(f, x)) for x in (phi, lam) for f in (math.sin, math.cos)]
+        return np.array([*trig, lats, lons], dtype=np.float64)  # C-contiguous rows
 
     @cached_property
     def leg_lengths_m(self) -> tuple[float, ...]:

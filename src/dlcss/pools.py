@@ -106,7 +106,8 @@ def read_geojson(path: str | Path) -> RoutePool:
     """Read a route pool written by write_geojson.
 
     Raises ParseError (with the offending feature index) on malformed JSON,
-    non-LineString geometry, missing ids, or fewer than 2 coordinates.
+    non-LineString geometry, missing ids, fewer than 2 coordinates, or a
+    coordinate that is no number, out of range or too large for a float.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -137,7 +138,7 @@ def read_geojson(path: str | Path) -> RoutePool:
             # an altitude (RFC 7946 section 3.1.1) is dropped
             points = [Coordinate(float(pos[1]), float(pos[0])) for pos in coords]
             routes.append(Route(id=rid, points=points))
-        except (DomainError, TypeError, ValueError) as exc:
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feature {i}: {exc}") from exc
     metadata = doc.get("properties") or {}
     if not isinstance(metadata, dict):

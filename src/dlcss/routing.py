@@ -327,7 +327,7 @@ class GridGraph:
                 float(la) == g.node_lats[i] and float(lo) == g.node_lons[i]
                 for i, (la, lo) in enumerate(stored)
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DomainError):
                 raise
             raise ParseError(f"malformed grid graph document: {exc}") from exc

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,7 +109,8 @@ def test_match_garbage_pool_file(tmp_path):
     "case",
     ["pool-properties", "pool-encoding", "pool-bool-position", "graph-nodes-number",
      "graph-node-short", "graph-edge-fraction", "graph-rows-fraction", "graph-spacing-string",
-     "graph-origin-string", "graph-removal-bool", "points-encoding"],
+     "graph-origin-string", "graph-removal-bool", "points-encoding", "pool-huge-int",
+     "graph-spacing-huge-int", "graph-origin-huge-int"],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, case):
     pool, graph = run_gen(tmp_path)
@@ -135,6 +137,15 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     elif case == "graph-removal-bool":  # float(True) would read as 1.0
         graph_doc["removal_fraction"] = True
         bad.write_text(json.dumps(graph_doc))
+    elif case == "pool-huge-int":  # float() overflows on a 400-digit integer
+        pool_doc["features"][0]["geometry"]["coordinates"][0][0] = 10**400
+        bad.write_text(json.dumps(pool_doc))
+    elif case == "graph-spacing-huge-int":
+        graph_doc["spacing_m"] = 10**400
+        bad.write_text(json.dumps(graph_doc))
+    elif case == "graph-origin-huge-int":
+        graph_doc["origin"]["lat"] = 10**400
+        bad.write_text(json.dumps(graph_doc))
     elif case == "graph-nodes-number":
         graph_doc["nodes"] = 5
         bad.write_text(json.dumps(graph_doc))
@@ -147,6 +158,9 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
         "pool-properties": (["match", "--pool", str(bad)], "feature 0"),
         "pool-encoding": (["match", "--pool", str(bad)], str(bad)),
         "pool-bool-position": (["match", "--pool", str(bad)], "feature 0"),
+        "pool-huge-int": (["match", "--pool", str(bad)], "feature 0"),
+        "graph-spacing-huge-int": (["eval", "--graph", str(bad)], str(bad)),
+        "graph-origin-huge-int": (["eval", "--graph", str(bad)], str(bad)),
         "graph-edge-fraction": (["eval", "--graph", str(bad)], str(bad)),
         "graph-rows-fraction": (["eval", "--graph", str(bad)], str(bad)),
         "graph-spacing-string": (["eval", "--graph", str(bad)], str(bad)),
@@ -160,6 +174,7 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     assert main(args + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -355,8 +370,9 @@ def test_usage_errors_and_help():
 
 
 def test_console_script_runs():
+    src = Path(__file__).resolve().parents[1] / "src"  # -m imports from the working directory
     proc = subprocess.run(
-        [sys.executable, "-m", "dlcss.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "dlcss.cli", "--help"], cwd=src, capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout

@@ -144,6 +144,22 @@ def test_leg_lengths_match_scalar_bitwise():
         assert legs == tuple(distance(a, b) for a, b in zip(pts, pts[1:]))
 
 
+def test_point_array_equals_point_trig_bitwise():
+    """Each column is the point's ``_point_trig`` and its lat, lon, to the bit,
+    at the poles, the antimeridian and signed zeros too; rows are C-contiguous."""
+    rng = random.Random(30)
+    edges = [(90.0, 180.0), (-90.0, -180.0), (-0.0, -0.0), (0.0, -0.0), (90, -180), (-0.0, 180.0)]
+    routes = [Route("edges", [Coordinate(*p) for p in edges])] + [
+        Route(f"r{k}", [Coordinate(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(50)])
+        for k in range(50)
+    ]
+    for r in routes:
+        want = np.array([(*geo._point_trig(p.lat, p.lon), p.lat, p.lon) for p in r.points]).T
+        got = r.point_array
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_route_needs_two_points():
     with pytest.raises(DomainError):
         Route("short", (Coordinate(50.0, 6.0),))

@@ -161,6 +161,42 @@ def test_band_keeps_same_point_whose_h_is_not_zero():
     assert_bit_equal(a, [r])
 
 
+lattice_indices = st.tuples(st.integers(0, 20), st.integers(0, 20))
+
+
+@st.composite
+def tie_cases(draw):
+    """Vehicle and request points for ``_phase_one``: request lattice points,
+    and vehicle points mirrored around some of them (equal or nearly equal
+    distances), random lattice points, repeats of earlier points, and
+    sometimes a single row."""
+    targets = draw(st.lists(lattice_indices, min_size=1, max_size=30))
+    rows = []
+    for i, k in draw(st.lists(st.sampled_from(targets), min_size=1, max_size=6)):
+        di, dk = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows += [(i + di, k + dk), (i - di, k - dk), (i + di, k - dk), (i - di, k + dk)]
+    rows = draw(st.permutations(rows + draw(st.lists(lattice_indices, max_size=8))))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # repeated vehicle points
+    if draw(st.booleans()):
+        rows = rows[:1]
+    a, r = ([Coordinate(LAT0 + STEP * i, LON0 + STEP * k) for i, k in x] for x in (rows, targets))
+    return a, r
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tie_cases())
+def test_phase_one_equals_brute_force_on_ties(case):
+    """Per column, the lexicographic minimum of (geo.distance, row)."""
+    a, r = case
+    want = [min((geo.distance(x, y), i) for i, x in enumerate(a)) for y in r]
+    p, q = (Route("x", pts * 2).point_array[:, : len(pts)] for pts in (a, r))
+    for budget in (core.TILE_CELLS, *SMALL_BUDGETS):
+        with mock.patch.object(core, "TILE_CELLS", budget):
+            rows, dists = core._phase_one(p, core._unit_vectors(p), q, core._unit_vectors(q))
+        assert rows.tolist() == [i for _, i in want], budget
+        assert dists.tobytes() == np.array([d for d, _ in want]).tobytes(), budget
+
+
 def lattice_route(rng, rid):
     n = rng.randint(2, 20)
     return Route(rid, [
