@@ -162,16 +162,19 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     return 0
 
 
+#: One encoder for every decision line, as ``json.dumps(..., sort_keys=True)`` would build.
+_DECISION_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _decision_line(d: matching.MatchDecision) -> str:
-    return json.dumps(
+    return _DECISION_ENCODER.encode(
         {
             "a_id": d.a_id,
             "r_id": d.r_id,
             "sm": d.sm if math.isfinite(d.sm) else None,
             "threshold_m": d.threshold,
             "accepted": d.accepted,
-        },
-        sort_keys=True,
+        }
     )
 
 

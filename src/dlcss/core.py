@@ -391,6 +391,8 @@ def score_table(
         raise DomainError(f"mask shape {mask.shape} differs from the table's {shape}")
     pi, pj = np.nonzero(mask)
     table = np.full(shape, np.nan)
+    geo.fill_arrays(vehicles)
+    geo.fill_arrays(requests)
     if len(pi) >= BATCH_MIN_PAIRS:
         legs = VehicleLegs.of(vehicles)
         blocks = _table_segments(vehicles, requests, mask)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import geo
 from .errors import DomainError, GenerationError, ParseError, check_integer
-from .geo import COORD_DECIMALS, Coordinate, Route
+from .geo import COORD_DECIMALS, Route
 from .routing import GridGraph
 
 #: Resampling attempts per route before generation gives up.
@@ -106,8 +106,9 @@ def read_geojson(path: str | Path) -> RoutePool:
     """Read a route pool written by write_geojson.
 
     Raises ParseError (with the offending feature index) on malformed JSON,
-    non-LineString geometry, missing ids, fewer than 2 coordinates, or a
-    coordinate that is no number, out of range or too large for a float.
+    non-LineString geometry, missing ids, fewer than 2 coordinates, a
+    coordinate that is no number, out of range or too large for a float, or
+    top-level properties that are neither an object nor null.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -130,18 +131,19 @@ def read_geojson(path: str | Path) -> RoutePool:
         rid = props.get("id") if isinstance(props, dict) else None
         if not isinstance(rid, str) or not rid:
             raise ParseError(f"feature {i}: missing route id in properties.id")
-        if not all(isinstance(pos, list) and len(pos) >= 2 for pos in coords):
+        if {*map(type, coords)} != {list} or min(map(len, coords)) < 2:
             raise ParseError(f"feature {i}: every position needs at least [lon, lat]")
-        if not all(type(v) in (int, float) for pos in coords for v in pos[:2]):  # no bool
+        lons, lats, *_ = zip(*coords)  # an altitude (RFC 7946 section 3.1.1) is dropped
+        if not {*map(type, lons), *map(type, lats)} <= {int, float}:  # no bool
             raise ParseError(f"feature {i}: longitude and latitude must be numbers")
         try:
-            # an altitude (RFC 7946 section 3.1.1) is dropped
-            points = [Coordinate(float(pos[1]), float(pos[0])) for pos in coords]
-            routes.append(Route(id=rid, points=points))
-        except (DomainError, TypeError, ValueError, OverflowError) as exc:
+            routes.append(Route(rid, geo.coordinates(lats, lons)))
+        except (DomainError, OverflowError) as exc:
             raise ParseError(f"feature {i}: {exc}") from exc
-    metadata = doc.get("properties") or {}
-    if not isinstance(metadata, dict):
+    metadata = doc.get("properties")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise ParseError(f"{path}: top-level properties must be an object")
     try:
         return RoutePool(routes=routes, metadata=metadata)

@@ -162,13 +162,14 @@ class GridGraph:
 
     def snap(self, c: Coordinate) -> int:
         """Index of the nearest node; the coordinate must lie inside the grid bbox."""
-        if not (self._lat_range[0] <= c.lat <= self._lat_range[1]):
-            raise DomainError(f"latitude {c.lat} outside grid bounding box")
-        if not (self._lon_range[0] <= c.lon <= self._lon_range[1]):
-            raise DomainError(f"longitude {c.lon} outside grid bounding box")
-        fr = (c.lat - self.origin.lat) / self.dlat_deg
-        fc = (c.lon - self.origin.lon) / self.dlon_deg
-        trig = geo._point_trig(c.lat, c.lon)
+        lat, lon = c  # one unpacking: a named tuple's field reads cost more
+        if not (self._lat_range[0] <= lat <= self._lat_range[1]):
+            raise DomainError(f"latitude {lat} outside grid bounding box")
+        if not (self._lon_range[0] <= lon <= self._lon_range[1]):
+            raise DomainError(f"longitude {lon} outside grid bounding box")
+        fr = (lat - self.origin.lat) / self.dlat_deg
+        fc = (lon - self.origin.lon) / self.dlon_deg
+        trig = geo._point_trig(lat, lon)
         best: tuple[float, int] | None = None
         cols = _cell_span(fc, self.cols)
         for r in _cell_span(fr, self.rows):
@@ -440,6 +441,7 @@ def _detours(g: GridGraph, routes: Sequence[Route]) -> tuple[np.ndarray, np.ndar
     sources, computed in one ``source_rows`` pass. An endpoint off the grid
     raises DomainError naming its route.
     """
+    geo.fill_arrays(routes)
     starts, stops = [], []
     for r in routes:
         try:

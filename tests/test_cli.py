@@ -1,5 +1,7 @@
 """End-to-end command-line runs: files in, files out, stable exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dlcss import read_report, write_geojson, RoutePool
+from dlcss import generate_pool, read_report, write_geojson, RoutePool
 from dlcss.cli import main
 
 import scenarios
@@ -176,6 +179,78 @@ def test_malformed_file_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and where in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+DELETE, DUPLICATE = object(), object()
+NUMBER_BAD = [True, False, None, "6.08", [], {}, 10**400, -(10**400), math.nan, math.inf,
+              -math.inf]
+#: (path in the document, with F a feature and P a position index, and the values
+#: that make it malformed; DELETE removes the member, DUPLICATE copies another
+#: feature's id)
+POOL_MUTATIONS = [
+    ((), [[], 5, "x", None, "FeatureCollection"]),
+    (("type",), [DELETE, "Feature", None, 5]),
+    (("features",), [DELETE, None, {}, "x", 5]),
+    (("properties",), [[], 0, False, "", 5, "x", [1], True]),
+    (("features", "F"), [None, [], 5, "x", {}]),
+    (("features", "F", "properties"), [DELETE, None, [], 5, "x", {}]),
+    (("features", "F", "properties", "id"), [DELETE, DUPLICATE, "", None, 5, True, []]),
+    (("features", "F", "geometry"), [DELETE, None, [], "x", 5, {}]),
+    (("features", "F", "geometry", "type"), [DELETE, "Point", "MultiLineString", None, 5]),
+    (("features", "F", "geometry", "coordinates"), [DELETE, [], [[6.1, 50.8]], "x", None, {}, 5]),
+    (("features", "F", "geometry", "coordinates", "P"), [[6.1], [], "x", 5, None, {}]),
+    (("features", "F", "geometry", "coordinates", "P", 0), [*NUMBER_BAD, 180.5, -181]),
+    (("features", "F", "geometry", "coordinates", "P", 1), [*NUMBER_BAD, 90.5, -91]),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, intact_grid):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_geojson(generate_pool(intact_grid, n=3, seed=1), path / "valid.geojson")
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_pool_file_exits_2_with_one_error_line(fuzz_dir, data):
+    """A valid pool file broken at any level (wrong JSON types, bools, strings,
+    400-digit integers, NaN and Infinity tokens, short or non-list positions,
+    empty or duplicate ids, a byte order mark) makes ``dlcss match`` exit 2 with
+    one ``error:`` line, never a traceback or a result."""
+    text = (fuzz_dir / "valid.geojson").read_text()
+    mutation = data.draw(st.sampled_from([*POOL_MUTATIONS, "bom"]))
+    if mutation == "bom":
+        text = "\ufeff" + text
+    else:
+        path, values = mutation
+        doc = json.loads(text)
+        f = data.draw(st.integers(0, len(doc["features"]) - 1))
+        p = data.draw(st.integers(0, len(doc["features"][f]["geometry"]["coordinates"]) - 1))
+        keys = [{"F": f, "P": p}.get(k, k) for k in path]
+        value = data.draw(st.sampled_from(values))
+        if value is DUPLICATE:
+            value = doc["features"][(f + 1) % len(doc["features"])]["properties"]["id"]
+        if not keys:
+            doc = value
+        else:
+            parent = doc
+            for k in keys[:-1]:
+                parent = parent[k]
+            if value is DELETE:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+        text = json.dumps(doc)
+    pool, decisions = fuzz_dir / "pool.geojson", fuzz_dir / "d.jsonl"
+    pool.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["match", "--pool", str(pool), "--out", str(decisions)])
+    lines = err.getvalue().splitlines()
+    assert code == 2, err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in lines[0]
+    assert out.getvalue() == "" and not decisions.exists()
 
 
 def test_eval_calibrated_run(tmp_path):

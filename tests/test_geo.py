@@ -1,5 +1,6 @@
 """Geometry layer: haversine distances, routes, arc lengths."""
 
+import itertools
 import math
 import random
 
@@ -52,6 +53,55 @@ def test_coordinate_validation():
     # boundary values are legal
     Coordinate(90.0, 180.0)
     Coordinate(-90.0, -180.0)
+
+
+def test_coordinate_is_an_immutable_lat_lon_tuple():
+    c = Coordinate(50.75, 6.08)
+    lat, lon = c
+    assert (lat, lon) == (c.lat, c.lon) == (50.75, 6.08)
+    assert c == (50.75, 6.08) and hash(c) == hash((50.75, 6.08))
+    assert repr(c) == "Coordinate(lat=50.75, lon=6.08)"
+    with pytest.raises(AttributeError):
+        c.lat = 0.0
+    with pytest.raises(AttributeError):
+        c.alt = 0.0  # no __dict__
+    assert c._replace(lon=7.0) == Coordinate(50.75, 7.0)
+    with pytest.raises(DomainError, match="latitude 91.0"):
+        c._replace(lat=91.0)
+    with pytest.raises(DomainError, match="longitude"):  # out of range, not an OverflowError
+        Coordinate(0.0, 10**400)
+
+
+# the edges of the range, signed zeros, non-finite values, the nearest floats
+# outside the range and integers too large for a float
+EDGE_VALUES = [
+    90.0, -90.0, 180.0, -180.0, 90, -180, 0.0, -0.0, 50.75, 1e-300,
+    math.nan, math.inf, -math.inf,
+    math.nextafter(90.0, math.inf), math.nextafter(-90.0, -math.inf),
+    math.nextafter(180.0, math.inf), math.nextafter(-180.0, -math.inf),
+    10**400, -(10**400), 10**308,
+]
+
+
+def outcome(build):
+    try:
+        return [(repr(p.lat), repr(p.lon), type(p)) for p in build()]
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_coordinates_check_equals_per_point_constructor():
+    """One check per point list accepts and rejects what ``Coordinate`` does,
+    with the message of the first bad point, latitude before longitude."""
+    for v, w in itertools.product(EDGE_VALUES, repeat=2):
+        for lats, lons in (
+            ([50.0, v, 50.0], [6.0, 6.0, w]),
+            ([50.0, 50.0, w], [6.0, v, 6.0]),
+            ([v, w], [6.0, 6.0]),
+            ([50.0, 50.0], [w, v]),
+        ):
+            want = outcome(lambda: [Coordinate(float(a), float(b)) for a, b in zip(lats, lons)])
+            assert outcome(lambda: geo.coordinates(lats, lons)) == want, (lats, lons)
 
 
 def test_identical_points_distance_zero():
@@ -158,6 +208,41 @@ def test_point_array_equals_point_trig_bitwise():
         got = r.point_array
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fill_arrays_equals_per_route_build(intact_grid):
+    """The pool-wide pass fills each route's point array, legs and length with
+    the bytes of its own properties; a grid route keeps its gathered array."""
+    rng = random.Random(31)
+    routes = [random_route(rng, rng.randint(2, 60), f"r{k}") for k in range(30)]
+    routes.append(Route("edges", [Coordinate(90.0, 180.0), Coordinate(-0.0, -180.0),
+                                  Coordinate(-0.0, -180.0), Coordinate(-90.0, 0.0)]))
+    grid = [intact_grid.route(f"g{k}", intact_grid.path_nodes(k, 143 - 7 * k)) for k in range(5)]
+    warm = random_route(rng, 9, "warm")
+    warm_legs = warm.leg_lengths_m
+    mixed = routes[:10] + grid[:2] + [warm] + routes[10:] + grid[2:] + [routes[0]]
+    gathered = [r.point_array for r in grid]
+    geo.fill_arrays(mixed)
+    for r in mixed:
+        twin = Route(r.id, r.points)
+        p = vars(r)["point_array"]
+        assert p.dtype == np.float64 and p.tobytes() == twin.point_array.tobytes()
+        assert np.array(vars(r)["leg_lengths_m"]).tobytes() == np.array(twin.leg_lengths_m).tobytes()
+        assert all(type(x) is float for x in r.leg_lengths_m)
+        assert r.length_m == twin.length_m == geo.left_sum(twin.leg_lengths_m)
+    assert all(r.point_array is p for r, p in zip(grid, gathered))
+    assert warm.leg_lengths_m is warm_legs
+
+
+def test_route_length_sums_legs_once(monkeypatch):
+    r, s = random_route(random.Random(8), 15, "r"), random_route(random.Random(9), 7, "s")
+    want = geo.left_sum(r.leg_lengths_m)
+    calls = []
+    left_sum = geo.left_sum
+    monkeypatch.setattr(geo, "left_sum", lambda xs: calls.append(1) or left_sum(xs))
+    assert route_length(r) == want and route_length(r) == want and len(calls) == 1
+    geo.fill_arrays([r, s])  # s lacks its legs: the pass sums them once
+    assert route_length(s) == left_sum(s.leg_lengths_m) and len(calls) == 2
 
 
 def test_route_needs_two_points():

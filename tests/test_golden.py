@@ -38,6 +38,10 @@ FILE_EVAL_DIGESTS = {
     "plot-data": "efa992eca7c250c162340df8ec792092313d8971e6913054bbd1b6334a15f59f",
 }
 
+# digest of `dlcss match --pool A --requests B`, A and B from `gen --n 60 --seed 3` and
+# `gen --n 40 --seed 4`: the two-file path the benchmark's match workload times
+REQUESTS_MATCH_DIGEST = "c9c1a522822aaeded8e78f4725f82598a1b67604699e7d6e416439fbecb850f8"
+
 CROSS_VALIDATED_DIGEST = "f6014b1d76dbd43b933f4c6eb4936aa42d5815475ba0d93df0c4f0dca1e7fbae"
 
 # (vehicle, request) -> digest of `dlcss meeting` on the `gen --n 60 --seed 3` files;
@@ -62,6 +66,15 @@ def test_gen_and_match_bytes(tmp_path):
     run("gen", "--n", "60", "--seed", "3", "--out", str(pool), "--graph-out", str(graph))
     run("match", "--pool", str(pool), "--out", str(decisions))
     assert {name: sha256(tmp_path / name) for name in GEN_DIGESTS} == GEN_DIGESTS
+
+
+def test_match_requests_bytes(tmp_path):
+    fleet, batch, decisions = (tmp_path / name for name in ("a.geojson", "b.geojson", "d.jsonl"))
+    for out, n, seed in ((fleet, "60", "3"), (batch, "40", "4")):
+        run("gen", "--n", n, "--seed", seed, "--out", str(out),
+            "--graph-out", str(tmp_path / "graph.json"))
+    run("match", "--pool", str(fleet), "--requests", str(batch), "--out", str(decisions))
+    assert sha256(decisions) == REQUESTS_MATCH_DIGEST
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlcss import (
     Coordinate,
@@ -14,6 +15,7 @@ from dlcss import (
     Route,
     RoutePool,
     assess_shared_ride,
+    GridGraph,
     generate_pool,
     read_geojson,
     route_length,
@@ -224,3 +226,84 @@ def test_read_rejects_duplicate_ids(tmp_path):
     ]
     with pytest.raises(ParseError):
         read_geojson(write_doc(tmp_path, dup))
+
+
+@pytest.mark.parametrize("metadata", [[], 0, False, "", [1], "x", 5])
+def test_read_rejects_top_level_properties_that_are_no_object(tmp_path, metadata):
+    path = tmp_path / "doc.geojson"
+    doc = {"type": "FeatureCollection", "properties": metadata,
+           "features": [line_feature("r0", [[6.0, 50.75], [6.01, 50.75]])]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="top-level properties must be an object"):
+        read_geojson(path)
+
+
+def test_read_takes_missing_or_null_top_level_properties_as_empty(tmp_path):
+    path = tmp_path / "doc.geojson"
+    for doc in ({"type": "FeatureCollection", "features": []},
+                {"type": "FeatureCollection", "properties": None, "features": []}):
+        path.write_text(json.dumps(doc))
+        assert read_geojson(path).metadata == {}
+
+
+def cycle(pool, path):
+    write_geojson(pool, path)
+    return read_geojson(path)
+
+
+integral_points = st.lists(
+    st.tuples(st.integers(-90, 90), st.integers(-180, 180)), min_size=2, max_size=6
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    routes=st.lists(integral_points, min_size=1, max_size=4),
+    shape=st.data(),
+)
+def test_integer_and_altitude_positions_read_as_their_float_forms(tmp_path_factory, routes, shape):
+    """Legal variants of a position: an integer coordinate reads as its float,
+    and an altitude (RFC 7946 section 3.1.1) is dropped."""
+    tmp = tmp_path_factory.mktemp("variants")
+    flat, varied = [], []
+    for k, pts in enumerate(routes):
+        flat.append(line_feature(f"r{k}", [[float(lon), float(lat)] for lat, lon in pts]))
+        coords = []
+        for lat, lon in pts:
+            pos = [shape.draw(st.sampled_from([lon, float(lon)])),
+                   shape.draw(st.sampled_from([lat, float(lat)]))]
+            pos += shape.draw(st.lists(st.sampled_from([0, 120.5, -3.0]), max_size=2))
+            coords.append(pos)
+        varied.append(line_feature(f"r{k}", coords))
+    want = read_geojson(write_doc(tmp, flat)).routes
+    got = read_geojson(write_doc(tmp, varied)).routes
+    assert got == want
+    for r in got:
+        assert all(type(p) is Coordinate and type(p.lat) is float and type(p.lon) is float
+                   for p in r.points)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(2, 6),
+    cols=st.integers(2, 6),
+    spacing_m=st.floats(50.0, 500.0),
+    lat=st.floats(-60.0, 60.0),
+    lon=st.floats(-170.0, 170.0),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_round_trip_is_stable_and_keeps_endpoints_snappable(
+    tmp_path_factory, rows, cols, spacing_m, lat, lon, n, seed
+):
+    g = GridGraph.build(rows=rows, cols=cols, origin=Coordinate(lat, lon), spacing_m=spacing_m,
+                        removal_fraction=0.1, seed=seed)
+    pool = generate_pool(g, n=n, seed=seed)
+    tmp = tmp_path_factory.mktemp("cycle")
+    once = cycle(pool, tmp / "a.geojson")
+    twice = cycle(once, tmp / "b.geojson")
+    assert twice.routes == once.routes and twice.metadata == once.metadata == pool.metadata
+    assert (tmp / "a.geojson").read_bytes() == (tmp / "b.geojson").read_bytes()
+    for r, r1 in zip(pool.routes, once.routes):
+        for end in (0, -1):
+            assert g.snap(r1.points[end]) == g.snap(r.points[end])
