@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import core, evaluation, matching, meeting_points, pools, routing
@@ -162,29 +163,23 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     return 0
 
 
-#: One encoder for every decision line, as ``json.dumps(..., sort_keys=True)`` would build.
-_DECISION_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _decision_line(d: matching.MatchDecision) -> str:
-    return _DECISION_ENCODER.encode(
-        {
-            "a_id": d.a_id,
-            "r_id": d.r_id,
-            "sm": d.sm if math.isfinite(d.sm) else None,
-            "threshold_m": d.threshold,
-            "accepted": d.accepted,
-        }
-    )
+#: A decision line: the keys, separators and order of ``json.dumps(row, sort_keys=True)``.
+_DECISION_LINE = '{{"a_id": {}, "accepted": {}, "r_id": {}, "sm": {}, "threshold_m": {}}}\n'.format
 
 
 def cmd_match(cfg: argparse.Namespace) -> int:
     vehicles = pools.read_geojson(cfg.pool)
     requests = vehicles if cfg.requests is None else pools.read_geojson(cfg.requests)
     decisions = matching.filter_pool(vehicles.routes, requests.routes, threshold=cfg.threshold_m)
+    # the json module's own string and float forms: ids quoted once, numbers by float.__repr__
+    quoted = {r.id: encode_basestring_ascii(r.id) for r in vehicles.routes + requests.routes}
+    number = float.__repr__
     with Path(cfg.out).open("w", encoding="utf-8") as fh:
-        for d in decisions:
-            fh.write(_decision_line(d) + "\n")
+        fh.writelines(
+            _DECISION_LINE(quoted[d.a_id], "true" if d.accepted else "false", quoted[d.r_id],
+                           number(d.sm) if math.isfinite(d.sm) else "null", number(d.threshold))
+            for d in decisions
+        )
     accepted = sum(1 for d in decisions if d.accepted)
     print(f"wrote {len(decisions)} decisions to {cfg.out} ({accepted} accepted)")
     return 0
@@ -258,7 +253,7 @@ def cmd_meeting(cfg: argparse.Namespace) -> int:
             "sm": match.sm,
             "rerouted_request": {
                 "id": match.rerouted_request.id,
-                "coordinates": [[p.lon, p.lat] for p in match.rerouted_request.points],
+                "coordinates": match.rerouted_request.point_array[5:3:-1].T.tolist(),
             },
         },
     }

@@ -146,7 +146,7 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int
     stable order by (request, row, distance) then feeds one ``_walk`` per
     request. Requires at least one request.
     """
-    lens = [len(r.points) for r in requests]
+    lens = [r.point_array.shape[1] for r in requests]
     p = a.point_array
     q = np.concatenate([r.point_array for r in requests], axis=1)
     # unit vectors per call, as fresh routes gain no cache
@@ -154,7 +154,7 @@ def _segments(a: Route, requests: Sequence[Route]) -> list[list[tuple[float, int
     # by (request, row, distance), ties in j order: two stable sorts, faster than a lexsort
     by_dist = np.argsort(dists, kind="stable")
     request_of = np.repeat(np.arange(len(lens)), lens)
-    order = by_dist[np.argsort((request_of * len(a.points) + rows)[by_dist], kind="stable")]
+    order = by_dist[np.argsort((request_of * p.shape[1] + rows)[by_dist], kind="stable")]
     starts = np.cumsum([0, *lens[:-1]])
     rows_s, dists_s = rows[order].tolist(), dists[order].tolist()
     cols_s = (order - starts[request_of]).tolist()  # j within its request's block
@@ -264,14 +264,15 @@ def _table_segments(vehicles: Sequence[Route], requests: Sequence[Route], mask: 
 
     Phase one runs once per vehicle over the distinct request points of its
     pairs. That is exact: a column's result reads only that column of
-    ``point_array``, which ``Route`` and ``GridGraph.route`` both derive from
-    its (lat, lon) through ``geo._point_trig``. Phase two (``_walk_pairs``)
+    ``point_array``, which every route builder (``Route``, the pool reader,
+    ``GridGraph.route``) derives from its (lat, lon) by ``geo._point_table``,
+    the libm calls of ``geo._point_trig``. Phase two (``_walk_pairs``)
     runs per block of pairs with at most BLOCK_COLUMNS request columns and
     as many vehicle rows (or one pair), which bounds the memory a large
     table takes.
     """
     pi, pj = np.nonzero(mask)
-    lens, vlens = (np.array([len(r.points) for r in x]) for x in (requests, vehicles))
+    lens, vlens = (np.array([r.point_array.shape[1] for r in x]) for x in (requests, vehicles))
     q = np.concatenate([r.point_array for r in requests], axis=1)
     key = np.ascontiguousarray(q[4:].T).view(np.dtype((np.void, 16))).ravel()
     _, first, point_of = np.unique(key, return_index=True, return_inverse=True)
@@ -391,8 +392,6 @@ def score_table(
         raise DomainError(f"mask shape {mask.shape} differs from the table's {shape}")
     pi, pj = np.nonzero(mask)
     table = np.full(shape, np.nan)
-    geo.fill_arrays(vehicles)
-    geo.fill_arrays(requests)
     if len(pi) >= BATCH_MIN_PAIRS:
         legs = VehicleLegs.of(vehicles)
         blocks = _table_segments(vehicles, requests, mask)

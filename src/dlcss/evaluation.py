@@ -159,19 +159,9 @@ def _aggregate(
     """The report of ``outcomes``, whose ``_judge`` counts are ``counts``."""
     tn, fn, fp, tp = counts.tolist()  # Python ints, as JSON and read_report need
     n = len(outcomes)
-    rejection_rate, tp_rate = _rates(n, tp, fp, tn, fn)
-    return EvalReport(
-        n_pairs=n,
-        threshold_m=threshold_m,
-        true_positives=tp,
-        false_positives=fp,
-        true_negatives=tn,
-        false_negatives=fn,
-        rejection_rate=rejection_rate,
-        tp_rate_among_accepted=tp_rate,
-        runtime_ms=runtime_ms,
-        pairs=outcomes,
-    )
+    # the fields in declaration order: n_pairs, threshold_m, the four counts, the two rates
+    return EvalReport(n, threshold_m, tp, fp, tn, fn, *_rates(n, tp, fp, tn, fn),
+                      runtime_ms=runtime_ms, pairs=outcomes)
 
 
 def _rates(n: int, tp: int, fp: int, tn: int, fn: int) -> tuple[float, float]:

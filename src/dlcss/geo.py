@@ -15,9 +15,7 @@ candidate pairs; this exact expression decides among them.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -32,8 +30,8 @@ _EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 #: Decimal places of the degrees written to files (1e-7 deg, about 1 cm).
 COORD_DECIMALS = 7
 
-#: The one range rule of ``Coordinate`` and ``coordinates``: |lat| <= 90, |lon| <= 180
-#: (each written so that NaN fails it).
+#: The one range rule of ``Coordinate`` and of ``pools.read_geojson``'s check:
+#: |lat| <= 90, |lon| <= 180 (each written so that NaN fails it).
 LAT_LIMIT, LON_LIMIT = 90.0, 180.0
 
 
@@ -55,30 +53,9 @@ class Coordinate(_LatLon):
             raise DomainError(f"longitude {lon} outside [-180, 180]")
         return tuple.__new__(cls, (lat, lon))
 
-    def _replace(self, **changes) -> Coordinate:
-        return Coordinate(**{**self._asdict(), **changes})
-
-
-def coordinates(lats: Sequence, lons: Sequence) -> tuple[Coordinate, ...]:
-    """``Coordinate(float(lat), float(lon))`` for each pair of the two number sequences.
-
-    One check covers every point: all values are finite (their sum is) and the
-    extremes are in range. Only if it fails does each point go through
-    ``Coordinate``, which raises for the first bad one, latitude before
-    longitude (or ``float`` raises OverflowError for a huge integer).
-    """
-    try:
-        flat, flon = list(map(float, lats)), list(map(float, lons))
-        ok = (
-            math.isfinite(sum(flat) + sum(flon))
-            and -LAT_LIMIT <= min(flat) and max(flat) <= LAT_LIMIT
-            and -LON_LIMIT <= min(flon) and max(flon) <= LON_LIMIT
-        )
-    except OverflowError:
-        ok = False
-    if ok:  # the checked points skip Coordinate.__new__'s per-point check
-        return tuple(map(tuple.__new__, itertools.repeat(Coordinate), zip(flat, flon)))
-    return tuple(Coordinate(float(lat), float(lon)) for lat, lon in zip(lats, lons))
+    @classmethod
+    def _make(cls, iterable) -> Coordinate:  # the named tuple's _replace builds through it
+        return cls(*iterable)
 
 
 def _point_trig(lat: float, lon: float) -> tuple[float, float, float, float]:
@@ -101,28 +78,62 @@ def _haversine_h(sphi1, cphi1, slam1, clam1, sphi2, cphi2, slam2, clam2):
     return 0.5 * (1.0 - cos_dphi) + cc * (0.5 * (1.0 - cos_dlam))
 
 
-@dataclass(frozen=True)
 class Route:
-    """An ordered polyline with identity; point order encodes travel direction."""
+    """An ordered polyline with identity; point order encodes travel direction.
+
+    Stored as its read-only ``point_array``; ``points`` is built from that on
+    first read. Immutable; equality and hash are those of ``(id, points)``.
+    """
 
     id: str
-    points: tuple[Coordinate, ...]
+    point_array: np.ndarray  # (6, n) float64 rows: sin phi, cos phi, sin lam, cos lam, lat, lon
 
     def __init__(self, id: str, points) -> None:
         pts = tuple(points)
-        if len(pts) < 2:
-            raise DomainError(f"route {id!r} needs at least 2 points, got {len(pts)}")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "points", pts)
+        lats, lons = zip(*pts) if pts else ((), ())
+        self._store(id, _point_table(lats, lons))
+
+    @classmethod
+    def _from_columns(cls, id: str, point_array: np.ndarray, leg_lengths_m=None) -> Route:
+        """The route whose ``point_array`` is these columns (built as ``Route``
+        builds them), and whose legs are these when given."""
+        route = cls.__new__(cls)
+        route._store(id, point_array)
+        if leg_lengths_m is not None:
+            vars(route)["leg_lengths_m"] = leg_lengths_m
+        return route
+
+    def _store(self, id: str, point_array: np.ndarray) -> None:
+        if point_array.shape[1] < 2:
+            raise DomainError(f"route {id!r} needs at least 2 points, got {point_array.shape[1]}")
+        point_array.flags.writeable = False  # a reader's routes share one pool table
+        vars(self).update(id=id, point_array=point_array)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
-    def point_array(self) -> np.ndarray:
-        """(6, n) float64 rows: sin phi, cos phi, sin lam, cos lam, lat, lon.
+    def points(self) -> tuple[Coordinate, ...]:
+        """Built from the lat and lon rows on first read, then kept as the legs are."""
+        return tuple(map(Coordinate, *self.point_array[4:].tolist()))
 
-        Column k is ``_point_trig`` of point k and its lat, lon: the same libm
-        calls, made row by row.
-        """
-        return _point_table(*zip(*self.points))
+    def point(self, k: int) -> Coordinate:
+        """``points[k]``, without building the others."""
+        return Coordinate(*self.point_array[4:, k].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and np.array_equal(self.point_array[4:], other.point_array[4:])
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.points))
+
+    def __repr__(self) -> str:
+        return f"Route(id={self.id!r}, points={self.points!r})"
 
     @cached_property
     def leg_lengths_m(self) -> tuple[float, ...]:
@@ -136,39 +147,14 @@ class Route:
 
 
 def _point_table(lats: Sequence[float], lons: Sequence[float]) -> np.ndarray:
-    """``Route.point_array`` of the points with these latitudes and longitudes."""
+    """``Route.point_array`` of the points with these latitudes and longitudes.
+
+    Column k is ``_point_trig`` of point k and its lat, lon: the same libm
+    calls, made row by row.
+    """
     phi, lam = list(map(math.radians, lats)), list(map(math.radians, lons))
     trig = [list(map(f, x)) for x in (phi, lam) for f in (math.sin, math.cos)]
     return np.array([*trig, lats, lons], dtype=np.float64)  # C-contiguous rows
-
-
-def fill_arrays(routes: Sequence[Route]) -> None:
-    """Fill ``point_array``, ``leg_lengths_m`` and ``length_m`` of every route that
-    lacks its legs, with one trig pass and one ``distances`` call for them all.
-
-    Bit-equal to the per-route properties: the same libm calls on the same
-    values, and the same elementwise expression, whose legs across two routes
-    are dropped. The point arrays are column views of one table for the pool
-    (a copy each held 0.3 MiB more peak RSS over an evaluation). A route whose
-    ``point_array`` is filled (``GridGraph.route``) keeps it.
-    """
-    todo = [r for r in routes if "leg_lengths_m" not in vars(r)]
-    if not todo:
-        return
-    bare = [r for r in todo if "point_array" not in vars(r)]
-    if bare:
-        table = _point_table(*zip(*itertools.chain.from_iterable(r.points for r in bare)))
-        ends = list(itertools.accumulate(len(r.points) for r in bare))
-        # cached_property has no setter: this fills the cache the property reads
-        for r, p in zip(bare, np.split(table, ends[:-1], axis=1)):
-            object.__setattr__(r, "point_array", p)
-    q = np.concatenate([r.point_array for r in todo], axis=1)
-    legs, end = distances(q[:, :-1], q[:, 1:]).tolist(), 0
-    for r in todo:
-        start, end = end, end + len(r.points)
-        own = tuple(legs[start : end - 1])
-        object.__setattr__(r, "leg_lengths_m", own)
-        object.__setattr__(r, "length_m", left_sum(own))
 
 
 def distance(a: Coordinate, b: Coordinate) -> float:
@@ -213,7 +199,7 @@ def route_length(r: Route) -> float:
 
 def arc_length_between(r: Route, i: int, j: int) -> float:
     """Polyline length from point i to point j along the route."""
-    n = len(r.points)
+    n = len(r.leg_lengths_m) + 1
     if not (0 <= i <= j < n):
         raise DomainError(f"invalid arc span [{i}, {j}] for {n} points")
     return left_sum(r.leg_lengths_m[i:j])

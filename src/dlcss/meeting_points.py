@@ -62,7 +62,7 @@ def evaluate_meeting_points(
     off-grid endpoint) skips that candidate, logged; other exceptions propagate.
     """
     matching._check_threshold(threshold_m, "threshold_m")
-    destination = r.points[-1]
+    destination = r.point(-1)
     trials: list[tuple[str, Route]] = []
     for m in candidates:
         try:

@@ -57,8 +57,8 @@ class GridGraph:
     ) -> None:
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise DomainError(f"grid needs at least 2 nodes, got {rows}x{cols}")
-        if not spacing_m > 0.0:  # written so that NaN fails it
-            raise DomainError(f"spacing_m must be positive, got {spacing_m}")
+        if not 0.0 < spacing_m < math.inf:  # written so that NaN fails it
+            raise DomainError(f"spacing_m must be positive and finite, got {spacing_m}")
         _check_removal_fraction(removal_fraction)
         self.rows = rows
         self.cols = cols
@@ -183,10 +183,7 @@ class GridGraph:
 
     def route(self, route_id: str, nodes: list[int]) -> Route:
         """The Route through ``nodes``, its point array gathered from the node table."""
-        route = Route(route_id, [self._nodes[i] for i in nodes])
-        # cached_property has no setter: this fills the cache Route.point_array reads
-        object.__setattr__(route, "point_array", self._table.take(nodes, axis=1))
-        return route
+        return Route._from_columns(route_id, self._table.take(nodes, axis=1))
 
     # -- shortest paths ----------------------------------------------------
 
@@ -441,12 +438,11 @@ def _detours(g: GridGraph, routes: Sequence[Route]) -> tuple[np.ndarray, np.ndar
     sources, computed in one ``source_rows`` pass. An endpoint off the grid
     raises DomainError naming its route.
     """
-    geo.fill_arrays(routes)
     starts, stops = [], []
     for r in routes:
         try:
-            starts.append(g.snap(r.points[0]))
-            stops.append(g.snap(r.points[-1]))
+            starts.append(g.snap(r.point(0)))
+            stops.append(g.snap(r.point(-1)))
         except DomainError as exc:
             raise DomainError(f"route {r.id!r} has no grid label: {exc}") from exc
     n = len(routes)  # the reshape keeps an empty pool (0, 0)

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlcss import generate_pool, read_report, write_geojson, RoutePool
+from dlcss import (
+    Coordinate, Route, RoutePool, filter_pool, generate_pool, read_geojson, read_report,
+    write_geojson,
+)
 from dlcss.cli import main
 
 import scenarios
@@ -96,6 +99,28 @@ def test_match_pool_position_without_lat(tmp_path):
                "geometry": {"type": "LineString", "coordinates": [[6.0, 50.75], [6.01]]}}
     bad.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
     assert main(["match", "--pool", str(bad)]) == 2
+
+
+def test_match_lines_equal_json_dumps_for_escaped_ids(tmp_path):
+    """Each decision line is ``json.dumps(row, sort_keys=True)``: ids with a quote,
+    a backslash, a control character, U+2028 and non-ASCII text, finite and
+    ``NO_OVERLAP`` scores, accepted and rejected pairs."""
+    ids = ['say "hi"', "back\\slash", "tab\there\x01", "line\u2028sep", "Zürich–Köln ✓"]
+    base = [Coordinate(50.75, 6.0 + 0.01 * k) for k in range(4)]
+    shapes = [base, base[::-1], [Coordinate(p.lat + 0.002, p.lon) for p in base],
+              [Coordinate(p.lat + 0.02, p.lon) for p in base], [Coordinate(40.0, 6.0), base[0]]]
+    pool = RoutePool(routes=[Route(i, pts) for i, pts in zip(ids, shapes)])
+    path, out = tmp_path / "pool.geojson", tmp_path / "decisions.jsonl"
+    write_geojson(pool, path)
+    assert main(["match", "--pool", str(path), "--threshold", "2500", "--out", str(out)]) == 0
+    rows = [
+        {"a_id": d.a_id, "r_id": d.r_id, "sm": d.sm if math.isfinite(d.sm) else None,
+         "threshold_m": d.threshold, "accepted": d.accepted}
+        for d in filter_pool(read_geojson(path).routes, read_geojson(path).routes, 2500.0)
+    ]
+    assert {r["accepted"] for r in rows} == {True, False} and None in {r["sm"] for r in rows}
+    want = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_match_missing_pool_file(tmp_path):
@@ -484,4 +509,20 @@ def test_eval_rejects_graph_file_with_zero_length_edges(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["eval", "--graph", str(graph), "--n", "10", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: edge ")
+    assert not out.exists()
+
+
+def test_infinite_spacing_exits_1_naming_the_spacing(tmp_path, capsys):
+    """An infinite spacing, on the command line or in a graph file, fails as a
+    spacing, not as the NaN node latitude it would make."""
+    out = tmp_path / "report.json"
+    assert main(["eval", "--n", "5", "--spacing", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spacing_m must be positive and finite, got inf\n"
+    _, graph = run_gen(tmp_path)
+    doc = json.loads(graph.read_text())
+    doc["spacing_m"] = math.inf
+    graph.write_text(json.dumps(doc))
+    assert '"spacing_m": Infinity' in graph.read_text()
+    assert main(["eval", "--graph", str(graph), "--n", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spacing_m must be positive and finite, got inf\n"
     assert not out.exists()

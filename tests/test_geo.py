@@ -16,7 +16,7 @@ from dlcss import (
     distance,
     route_length,
 )
-from dlcss import geo
+from dlcss import geo, pools
 
 # 1e-3 degrees of latitude, frozen from this implementation.
 LAT_STEP_M = 111.19489024324562
@@ -85,7 +85,7 @@ EDGE_VALUES = [
 
 def outcome(build):
     try:
-        return [(repr(p.lat), repr(p.lon), type(p)) for p in build()]
+        return [(repr(lat), repr(lon), type(lat), type(lon)) for lat, lon in build()]
     except (DomainError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -101,7 +101,31 @@ def test_coordinates_check_equals_per_point_constructor():
             ([50.0, 50.0], [w, v]),
         ):
             want = outcome(lambda: [Coordinate(float(a), float(b)) for a, b in zip(lats, lons)])
-            assert outcome(lambda: geo.coordinates(lats, lons)) == want, (lats, lons)
+            got = outcome(lambda: zip(*pools._lat_lon([[b, a] for a, b in zip(lats, lons)])))
+            assert got == want, (lats, lons)
+
+
+def test_coordinate_make_validates():
+    with pytest.raises(DomainError, match="latitude 91.0 outside"):
+        Coordinate._make((91.0, 0.0))
+    c = Coordinate._make((50.75, 6.08))
+    assert type(c) is Coordinate and c == Coordinate(50.75, 6.08)
+
+
+def test_route_stores_arrays_and_builds_points_on_read():
+    pts = (Coordinate(50.75, 6.08), Coordinate(50, 6), Coordinate(-0.0, 180.0))
+    r = Route("r", pts)
+    assert r.points == pts and r.point(-1) == pts[-1] and r.point(1) == pts[1]
+    assert all(type(p) is Coordinate and type(p.lat) is float for p in r.points)
+    assert r == Route("r", [tuple(p) for p in pts]) and hash(r) == hash(("r", pts))
+    assert r != Route("s", pts) and r != Route("r", pts[:2]) and r != ("r", pts)
+    assert repr(r) == "Route(id='r', points=(Coordinate(lat=50.75, lon=6.08), " \
+        "Coordinate(lat=50.0, lon=6.0), Coordinate(lat=-0.0, lon=180.0)))"
+    assert not r.point_array.flags.writeable
+    with pytest.raises(AttributeError):
+        r.id = "s"
+    with pytest.raises(AttributeError):
+        del r.id
 
 
 def test_identical_points_distance_zero():
@@ -210,30 +234,6 @@ def test_point_array_equals_point_trig_bitwise():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_fill_arrays_equals_per_route_build(intact_grid):
-    """The pool-wide pass fills each route's point array, legs and length with
-    the bytes of its own properties; a grid route keeps its gathered array."""
-    rng = random.Random(31)
-    routes = [random_route(rng, rng.randint(2, 60), f"r{k}") for k in range(30)]
-    routes.append(Route("edges", [Coordinate(90.0, 180.0), Coordinate(-0.0, -180.0),
-                                  Coordinate(-0.0, -180.0), Coordinate(-90.0, 0.0)]))
-    grid = [intact_grid.route(f"g{k}", intact_grid.path_nodes(k, 143 - 7 * k)) for k in range(5)]
-    warm = random_route(rng, 9, "warm")
-    warm_legs = warm.leg_lengths_m
-    mixed = routes[:10] + grid[:2] + [warm] + routes[10:] + grid[2:] + [routes[0]]
-    gathered = [r.point_array for r in grid]
-    geo.fill_arrays(mixed)
-    for r in mixed:
-        twin = Route(r.id, r.points)
-        p = vars(r)["point_array"]
-        assert p.dtype == np.float64 and p.tobytes() == twin.point_array.tobytes()
-        assert np.array(vars(r)["leg_lengths_m"]).tobytes() == np.array(twin.leg_lengths_m).tobytes()
-        assert all(type(x) is float for x in r.leg_lengths_m)
-        assert r.length_m == twin.length_m == geo.left_sum(twin.leg_lengths_m)
-    assert all(r.point_array is p for r, p in zip(grid, gathered))
-    assert warm.leg_lengths_m is warm_legs
-
-
 def test_route_length_sums_legs_once(monkeypatch):
     r, s = random_route(random.Random(8), 15, "r"), random_route(random.Random(9), 7, "s")
     want = geo.left_sum(r.leg_lengths_m)
@@ -241,8 +241,8 @@ def test_route_length_sums_legs_once(monkeypatch):
     left_sum = geo.left_sum
     monkeypatch.setattr(geo, "left_sum", lambda xs: calls.append(1) or left_sum(xs))
     assert route_length(r) == want and route_length(r) == want and len(calls) == 1
-    geo.fill_arrays([r, s])  # s lacks its legs: the pass sums them once
-    assert route_length(s) == left_sum(s.leg_lengths_m) and len(calls) == 2
+    read = Route._from_columns("s", s.point_array, s.leg_lengths_m)  # as the reader builds it
+    assert route_length(read) == left_sum(s.leg_lengths_m) and len(calls) == 2
 
 
 def test_route_needs_two_points():

@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from dlcss import GridGraph, read_geojson
+from dlcss import GridGraph, Route, read_geojson
 from dlcss.cli import main
 
 GEN_DIGESTS = {
@@ -68,13 +68,27 @@ def test_gen_and_match_bytes(tmp_path):
     assert {name: sha256(tmp_path / name) for name in GEN_DIGESTS} == GEN_DIGESTS
 
 
-def test_match_requests_bytes(tmp_path):
+def match_requests(tmp_path):
     fleet, batch, decisions = (tmp_path / name for name in ("a.geojson", "b.geojson", "d.jsonl"))
     for out, n, seed in ((fleet, "60", "3"), (batch, "40", "4")):
         run("gen", "--n", n, "--seed", seed, "--out", str(out),
             "--graph-out", str(tmp_path / "graph.json"))
     run("match", "--pool", str(fleet), "--requests", str(batch), "--out", str(decisions))
-    assert sha256(decisions) == REQUESTS_MATCH_DIGEST
+    return sha256(decisions)
+
+
+def test_match_requests_bytes(tmp_path):
+    assert match_requests(tmp_path) == REQUESTS_MATCH_DIGEST
+
+
+def test_match_reads_no_route_points(tmp_path, monkeypatch):
+    """``dlcss match`` works from the stored point arrays alone: with
+    ``Route.points`` made to raise, it writes the same bytes."""
+    def no_points(route):
+        raise AssertionError(f"Route.points read for {route.id!r}")
+
+    monkeypatch.setattr(Route, "points", property(no_points))
+    assert match_requests(tmp_path) == REQUESTS_MATCH_DIGEST
 
 
 @pytest.mark.parametrize("seed", [0, 1])

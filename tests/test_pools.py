@@ -22,6 +22,7 @@ from dlcss import (
     shortest_route,
     write_geojson,
 )
+from dlcss import geo
 
 
 def test_pool_rejects_duplicate_ids():
@@ -204,6 +205,38 @@ def test_read_names_offending_feature(tmp_path):
         read_geojson(write_doc(tmp_path, [good, off_globe]))
 
 
+BAD_FEATURES = {  # a malformed feature, and the message that names it
+    "point": ({"type": "Feature", "properties": {"id": "x"},
+               "geometry": {"type": "Point", "coordinates": [6.0, 50.75]}},
+              "geometry must be a LineString"),
+    "short": (line_feature("x", [[6.0, 50.75]]), "LineString needs at least 2 coordinates"),
+    "anonymous": (line_feature("", [[6.0, 50.75], [6.01, 50.75]]),
+                  "missing route id in properties.id"),
+    "lon-only": (line_feature("x", [[6.0, 50.75], [6.01]]),
+                 "every position needs at least [lon, lat]"),
+    "bool": (line_feature("x", [[6.0, 50.75], [True, 50.75]]),
+             "longitude and latitude must be numbers"),
+    "off-globe": (line_feature("x", [[6.0, 50.75], [6.01, 95]]),
+                  "latitude 95.0 outside [-90, 90]"),
+    "lon-before-lat": (line_feature("x", [[6.0, 50.75], [181.0, 50.75], [6.0, -91.0]]),
+                       "longitude 181.0 outside [-180, 180]"),
+    "huge": (line_feature("x", [[6.0, 50.75], [10**400, 50.75]]),
+             "int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("first", list(BAD_FEATURES))
+def test_read_names_the_first_bad_feature(tmp_path, first):
+    """The whole-pool checks name the first bad feature with its own message,
+    whichever kind of fault a later feature has."""
+    good = line_feature("g", [[6.0, 50.75], [6.01, 50.75]])
+    for later in BAD_FEATURES:
+        features = [good, BAD_FEATURES[first][0], good, BAD_FEATURES[later][0]]
+        with pytest.raises(ParseError) as err:
+            read_geojson(write_doc(tmp_path, features))
+        assert str(err.value) == f"feature 1: {BAD_FEATURES[first][1]}", later
+
+
 def test_read_drops_altitude(tmp_path):
     flat = line_feature("r0", [[6.0, 50.75], [6.01, 50.75]])
     high = line_feature("r0", [[6.0, 50.75, 120.5], [6.01, 50.75, 98.0]])
@@ -249,6 +282,44 @@ def test_read_takes_missing_or_null_top_level_properties_as_empty(tmp_path):
 def cycle(pool, path):
     write_geojson(pool, path)
     return read_geojson(path)
+
+
+def lattice(limit):
+    """Degrees a pool file holds as written: 7 decimals, integers, the limits, -0.0."""
+    return st.one_of(
+        st.integers(-limit * 10**7, limit * 10**7).map(lambda k: k / 1e7),
+        st.integers(-limit, limit),
+        st.sampled_from([float(limit), -float(limit), -0.0]),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lines=st.lists(
+        st.lists(st.tuples(lattice(90), lattice(180)), min_size=1, max_size=8), min_size=1,
+        max_size=5,
+    ),
+)
+def test_read_routes_equal_routes_built_from_coordinates(tmp_path_factory, lines):
+    """A route read from a file has the point array, legs and length, to the
+    bit, of the route built from ``Coordinate``s of the same floats, and equal
+    points, ``==`` and hash. A pool of them survives a write and a read."""
+    tmp = tmp_path_factory.mktemp("columns")
+    lines = [line + line[-1:] for line in lines]  # a repeated point: a zero-length leg
+    features = [line_feature(f"r{k}", [[lon, lat] for lat, lon in line])
+                for k, line in enumerate(lines)]
+    read = read_geojson(write_doc(tmp, features)).routes
+    built = [Route(f"r{k}", [Coordinate(float(lat), float(lon)) for lat, lon in line])
+             for k, line in enumerate(lines)]
+    assert len(read) == len(built)
+    for r, b in zip(read, built):
+        assert r.point_array.dtype == np.float64
+        assert r.point_array.tobytes() == b.point_array.tobytes()
+        assert np.array(r.leg_lengths_m).tobytes() == np.array(b.leg_lengths_m).tobytes()
+        assert all(type(x) is float for x in r.leg_lengths_m)
+        assert r.length_m.hex() == b.length_m.hex() == geo.left_sum(b.leg_lengths_m).hex()
+        assert r.points == b.points and r == b and hash(r) == hash(b)
+    assert cycle(RoutePool(routes=built), tmp / "cycled.geojson").routes == built
 
 
 integral_points = st.lists(

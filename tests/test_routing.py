@@ -49,6 +49,13 @@ def test_nan_spacing_is_rejected_as_spacing():
         GridGraph.build(rows=3, cols=3, spacing_m=float("nan"))
 
 
+def test_infinite_spacing_is_rejected_as_spacing():
+    with pytest.raises(DomainError, match="spacing_m must be positive and finite, got inf"):
+        GridGraph(2, 2, Coordinate(50.75, 6.08), math.inf, [(0, 1), (0, 2), (1, 3)])
+    with pytest.raises(DomainError, match="spacing_m must be positive and finite, got inf"):
+        GridGraph.build(rows=3, cols=3, spacing_m=math.inf)
+
+
 def test_build_is_reproducible():
     g1 = GridGraph.build(rows=8, cols=8, removal_fraction=0.15, seed=42)
     g2 = GridGraph.build(rows=8, cols=8, removal_fraction=0.15, seed=42)
