@@ -8,6 +8,7 @@ error, 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,6 +66,7 @@ def _build_grid(cfg: argparse.Namespace) -> GridGraph:
     )
 
 
+@functools.cache  # one parser per process: main may be called many times in-process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlcss",

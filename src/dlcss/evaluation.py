@@ -188,7 +188,7 @@ def cross_validated_eval(
     folds = check_integer(folds, "folds", 2, len(routes) // 2)
     _check_threshold(default_m, "default_m")
     order = list(range(len(routes)))
-    random.Random(seed).shuffle(order)
+    random.Random(check_integer(seed, "seed")).shuffle(order)
     fold_of = np.empty(len(routes), dtype=int)
     fold_of[order] = np.arange(len(routes)) % folds
 

@@ -46,28 +46,39 @@ def generate_pool(g: GridGraph, n: int, seed: int, min_length_m: float = 0.0) ->
 
     Origin/destination node pairs are sampled uniformly and resampled until
     the resulting route is at least ``min_length_m`` long. Deterministic per
-    seed. Raises GenerationError when ``min_length_m`` is unattainable.
+    seed, an integer. Raises GenerationError when ``min_length_m`` is
+    unattainable.
+
+    Each attempt takes two ``randrange`` calls whatever its outcome, so
+    attempts are drawn ahead in chunks without changing the sequence; the
+    Dijkstra rows of a chunk's sources come from one ``source_rows`` pass.
     """
     n = check_integer(n, "pool size n", 1)
+    seed = check_integer(seed, "seed")
     if not min_length_m >= 0.0:  # written so that NaN fails it
         raise DomainError(f"min_length_m must be >= 0, got {min_length_m}")
     rng = random.Random(seed)
     routes: list[Route] = []
-    for k in range(n):
-        for _ in range(MAX_ATTEMPTS_PER_ROUTE):
-            u = rng.randrange(g.num_nodes)
-            v = rng.randrange(g.num_nodes)
-            if u == v:
-                continue
-            route = g.route(f"r{k:03d}", g.path_nodes(u, v))
-            if geo.route_length(route) >= min_length_m:
+    tried = drawn = 0  # attempts on the current route, and in all chunks
+    while len(routes) < n:
+        # the missing routes at the attempts per route so far, at most doubling the draws
+        size = min(-(-(n - len(routes)) * drawn // len(routes)), drawn) if routes else max(drawn, n)
+        chunk = [(rng.randrange(g.num_nodes), rng.randrange(g.num_nodes)) for _ in range(size)]
+        drawn += size
+        g.source_rows([u for u, v in chunk if u != v])
+        for u, v in chunk:
+            tried += 1
+            route = g.route(f"r{len(routes):03d}", g.path_nodes(u, v)) if u != v else None
+            if route is not None and geo.route_length(route) >= min_length_m:
                 routes.append(route)
-                break
-        else:
-            raise GenerationError(
-                f"could not draw a route of length >= {min_length_m} m "
-                f"after {MAX_ATTEMPTS_PER_ROUTE} attempts (route {k} of {n})"
-            )
+                tried = 0
+                if len(routes) == n:
+                    break
+            elif tried == MAX_ATTEMPTS_PER_ROUTE:
+                raise GenerationError(
+                    f"could not draw a route of length >= {min_length_m} m "
+                    f"after {MAX_ATTEMPTS_PER_ROUTE} attempts (route {len(routes)} of {n})"
+                )
     metadata = {"seed": seed, "n": n, "min_length_m": min_length_m, "grid": g.parameters()}
     return RoutePool(routes=routes, metadata=metadata)
 

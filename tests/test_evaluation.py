@@ -179,6 +179,18 @@ def test_numpy_integer_counts_are_counts(intact_grid, mini_pool):
     assert rank_candidates(routes[0], routes, k=np.int64(2)) == rank_candidates(routes[0], routes, k=2)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True, "1", np.float64(1.0)])
+def test_cross_validation_rejects_a_seed_that_is_no_integer(intact_grid, mini_pool, seed):
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        cross_validated_eval(mini_pool, intact_grid, folds=2, seed=seed)
+
+
+def test_cross_validation_takes_numpy_integer_and_negative_seeds(intact_grid, mini_pool):
+    assert cross_validated_eval(mini_pool, intact_grid, folds=2, seed=np.int64(1)) == \
+        cross_validated_eval(mini_pool, intact_grid, folds=2, seed=1)
+    assert cross_validated_eval(mini_pool, intact_grid, folds=2, seed=-1).n_pairs > 0
+
+
 def test_cross_validation_aggregates_held_out_folds(intact_grid, mini_pool):
     report = cross_validated_eval(mini_pool, intact_grid, folds=4, seed=1)
     # four folds of two routes: two ordered pairs each

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dlcss import (
     write_geojson,
 )
 from dlcss import geo
+from dlcss.pools import MAX_ATTEMPTS_PER_ROUTE
 
 
 def test_pool_rejects_duplicate_ids():
@@ -68,6 +70,76 @@ def test_generate_takes_a_numpy_integer_pool_size(intact_grid):
     pool = generate_pool(intact_grid, n=np.int64(3), seed=4)
     assert type(pool.metadata["n"]) is int
     assert pool.routes == generate_pool(intact_grid, n=3, seed=4).routes
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, True, "3", np.float64(3.0)])
+def test_generate_rejects_a_seed_that_is_no_integer(intact_grid, seed):
+    """A None seed used to draw a different pool on every call."""
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        generate_pool(intact_grid, n=3, seed=seed)
+
+
+def test_generate_takes_numpy_integer_and_negative_seeds(intact_grid):
+    pool = generate_pool(intact_grid, n=3, seed=np.int64(4))
+    assert type(pool.metadata["seed"]) is int
+    assert pool.routes == generate_pool(intact_grid, n=3, seed=4).routes
+    assert generate_pool(intact_grid, n=3, seed=-1).metadata["seed"] == -1
+
+
+def per_attempt_routes(g, n, seed, min_length_m):
+    """The pool's routes drawn one attempt at a time, each path from a heap
+    Dijkstra row on a fresh graph, as generation did before it drew ahead."""
+    g = GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, g.removal_fraction, g.seed)
+    rng = random.Random(seed)
+    routes = []
+    for k in range(n):
+        for _ in range(MAX_ATTEMPTS_PER_ROUTE):
+            u = rng.randrange(g.num_nodes)
+            v = rng.randrange(g.num_nodes)
+            if u == v:
+                continue
+            route = g.route(f"r{k:03d}", g.path_nodes(u, v))
+            if route_length(route) >= min_length_m:
+                routes.append(route)
+                break
+        else:
+            raise GenerationError(
+                f"could not draw a route of length >= {min_length_m} m "
+                f"after {MAX_ATTEMPTS_PER_ROUTE} attempts (route {k} of {n})"
+            )
+    return routes
+
+
+@st.composite
+def generation_cases(draw):
+    """A small seeded grid, a seed, n <= 30 and a minimum length from 0 to
+    beyond the grid's longest shortest path (unattainable)."""
+    g = GridGraph.build(
+        draw(st.integers(1, 9)), draw(st.integers(2, 9)),
+        Coordinate(draw(st.floats(-60.0, 60.0)), draw(st.floats(-10.0, 10.0))),
+        draw(st.floats(50.0, 1000.0)), draw(st.floats(0.0, 0.4)), draw(st.integers(0, 9)),
+    )
+    longest = max(max(g.source_distances(s)) for s in range(g.num_nodes))
+    fraction = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 2.0)))
+    return g, draw(st.integers(1, 30)), draw(st.integers(-5, 2**31)), fraction * longest
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(generation_cases())
+def test_generate_equals_per_attempt_generation(case):
+    g, n, seed, min_length_m = case
+    g = GridGraph(g.rows, g.cols, g.origin, g.spacing_m, g.edges, g.removal_fraction, g.seed)
+    try:
+        want = per_attempt_routes(g, n, seed, min_length_m)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError) as got:
+            generate_pool(g, n, seed, min_length_m)
+        assert str(got.value) == str(exc)
+        return
+    routes = generate_pool(g, n, seed, min_length_m).routes
+    assert routes == want
+    assert [r.id for r in routes] == [r.id for r in want]
+    assert [r.point_array.tobytes() for r in routes] == [r.point_array.tobytes() for r in want]
 
 
 def test_generate_validation(intact_grid):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dlcss import (
     shortest_route,
 )
 
-from dlcss.geo import left_sum
+from dlcss.geo import _point_table, left_sum
 from dlcss.routing import detour_fractions
 
 from reference import bellman_ford_path
@@ -473,3 +474,116 @@ def test_source_rows_equal_heap_rows_bit_for_bit(case):
     for s, row in zip(sources, rows):
         assert row.tobytes() == heap.source_distances(s).tobytes(), s
         assert g.source_distances(s) is row  # memoized
+
+
+@pytest.mark.parametrize("bad", [2.5, None, True, "3", np.float64(3.0), np.True_])
+def test_seed_must_be_an_integer(bad):
+    """The seed takes the integer rule of counts: a seed of 2.5 used to build a
+    graph whose own document ``from_json_dict`` rejects."""
+    message = f"seed must be an integer, got {bad!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        GridGraph.build(rows=4, cols=4, seed=bad)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        GridGraph(2, 2, Coordinate(50.75, 6.08), 250.0, [(0, 1), (0, 2), (1, 3)], 0.0, bad)
+
+
+def test_numpy_integer_and_negative_seeds_are_seeds():
+    g = GridGraph.build(rows=6, cols=6, removal_fraction=0.2, seed=np.int64(3))
+    assert type(g.seed) is int
+    assert g == GridGraph.build(rows=6, cols=6, removal_fraction=0.2, seed=3)
+    assert GridGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+    assert GridGraph.build(rows=6, cols=6, removal_fraction=0.2, seed=-1).seed == -1
+
+
+@st.composite
+def grids_and_points(draw):
+    """A grid anywhere from 0.3 m to 3 km spacing and up to 89 N, and points in
+    its bbox: nodes, lattice midpoints, random interior points and points on
+    the bbox edges within half a unit of the 7th decimal."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    origin = Coordinate(draw(st.floats(-60.0, 89.0)), draw(st.floats(-10.0, 10.0)))
+    g = GridGraph.build(rows, cols, origin, draw(st.floats(0.3, 3000.0)), 0.0, 0)
+    eps = 0.5 * 10.0**-7
+    lats, lons = g.node_lats.tolist(), g.node_lons.tolist()
+    (lat0, lon0), (lat1, lon1) = (lats[0], lons[0]), (lats[-1], lons[-1])
+    unit = st.floats(0.0, 1.0)
+    node = st.integers(0, g.num_nodes - 1).map(lambda i: (lats[i], lons[i]))
+    midpoint = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)).map(
+        lambda rc: (origin.lat + (rc[0] + 0.5) * g.dlat_deg, origin.lon + (rc[1] + 0.5) * g.dlon_deg)
+    )
+    interior = st.tuples(unit, unit).map(
+        lambda uv: (lat0 + uv[0] * (lat1 - lat0), lon0 + uv[1] * (lon1 - lon0))
+    )
+    edge = st.tuples(st.sampled_from([lat0 - eps, lat1 + eps]), st.sampled_from([lon0 - eps, lon1 + eps]),
+                     unit, unit, st.booleans()).map(
+        # a bbox side (a lat or a lon bound) and a point along it, or a corner nudged in
+        lambda e: (e[0], lon0 + e[2] * (lon1 - lon0)) if e[4] else (lat0 + e[3] * (lat1 - lat0), e[1])
+    )
+    corner = st.tuples(st.sampled_from([(lat0, -eps), (lat1, eps)]), st.sampled_from([(lon0, -eps), (lon1, eps)]),
+                       unit, unit).map(lambda c: (c[0][0] + c[2] * c[0][1], c[1][0] + c[3] * c[1][1]))
+    points = draw(st.lists(st.one_of(node, midpoint, interior, edge, corner), min_size=1, max_size=40))
+    (lat_lo, lat_hi), (lon_lo, lon_hi) = g._lat_range, g._lon_range
+    return g, [(la, lo) for la, lo in points if lat_lo <= la <= lat_hi and lon_lo <= lo <= lon_hi]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grids_and_points())
+def test_array_snap_equals_scalar_snap(case):
+    g, points = case
+    table = _point_table(*zip(*points)) if points else np.empty((6, 0))
+    assert g._snap_columns(table).tolist() == [g.snap(Coordinate(*p)) for p in points]
+    lat, lon = g._lat_range[0], g._lon_range[1]
+    for off in ((_beyond(lat, lat), lon), (lat, _beyond(lon, -math.inf))):
+        with pytest.raises(DomainError, match="outside the grid bounding box"):
+            g._snap_columns(np.concatenate([table, _point_table(*zip(off))], axis=1))
+
+
+@pytest.mark.parametrize("end", [0, -1])
+@pytest.mark.parametrize("axis", ["latitude", "longitude"])
+def test_off_grid_endpoint_names_the_first_such_route(intact_grid, end, axis):
+    """A pool with off-grid starts or stops raises the scalar snap's message for
+    the first such route in pool order."""
+    g = intact_grid
+    pool = list(generate_pool(g, n=6, seed=2).routes)
+    far = Coordinate(40.0, 6.1) if axis == "latitude" else Coordinate(50.76, 7.5)
+    off = []
+    for k in (2, 4):
+        points = list(pool[k].points)
+        points[end] = far
+        off.append(Route(f"off{k}", points))
+    routes = pool[:2] + [off[0]] + pool[2:4] + [off[1]] + pool[4:]
+    value = far.lat if axis == "latitude" else far.lon
+    message = f"route 'off2' has no grid label: {axis} {value} outside grid bounding box"
+    with pytest.raises(DomainError) as exc:
+        detour_fractions(g, routes)
+    assert str(exc.value) == message
+    verdict = assess_shared_ride(g, pool[0], off[1])
+    assert verdict.diagnostic == message.replace("off2", "off4")
+
+
+def test_off_grid_start_is_named_before_stop(intact_grid):
+    g = intact_grid
+    inside = generate_pool(g, n=1, seed=2).routes[0]
+    both = Route("both", [Coordinate(50.76, 7.5), *inside.points[1:-1], Coordinate(40.0, 6.1)])
+    message = "route 'both' has no grid label: longitude 7.5 outside grid bounding box"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        detour_fractions(g, [inside, both])
+
+
+@st.composite
+def built_grids(draw):
+    seed = draw(st.one_of(st.integers(-5, 99), st.integers(0, 99).map(np.int64)))
+    return GridGraph.build(
+        draw(st.integers(1, 8)), draw(st.integers(2, 8)),
+        Coordinate(draw(st.floats(-60.0, 89.0)), draw(st.floats(-10.0, 10.0))),
+        draw(st.floats(0.3, 3000.0)), draw(st.floats(0.0, 0.5)), seed,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(built_grids())
+def test_graph_json_round_trip(g):
+    back = GridGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+    assert back == g
+    nodes = list(range(g.num_nodes))
+    assert np.array(back.source_rows(nodes)).tobytes() == np.array(g.source_rows(nodes)).tobytes()
